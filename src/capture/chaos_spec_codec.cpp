@@ -1,7 +1,5 @@
 #include "capture/chaos_spec_codec.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
 #include <vector>
 
@@ -14,51 +12,13 @@ namespace {
 constexpr std::string_view kSpecMagic = "chaos-spec";
 constexpr int kSpecVersion = 1;
 
-std::string fmt_double(double v) {
-  char buf[64];
-  // 17 significant digits round-trip any double exactly, and re-printing
-  // the parsed value reproduces the same string.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void put(std::string& out, std::string_view key, const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start < line.size()) {
-    const std::size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      tokens.push_back(line.substr(start));
-      break;
-    }
-    if (end > start) tokens.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return tokens;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
 }  // namespace
 
 std::string encode_chaos_spec(const ChaosSpec& spec) {
+  using serialize_detail::fmt_double;
+  using serialize_detail::put;
   std::string out;
-  out += kSpecMagic;
-  out += ' ';
-  out += std::to_string(kSpecVersion);
-  out += '\n';
+  serialize_detail::put_spec_header(out, kSpecMagic, kSpecVersion);
   put(out, "seed", std::to_string(spec.seed));
   put(out, "sites", std::to_string(spec.sites));
   put(out, "actions", std::to_string(spec.actions_per_site));
@@ -99,157 +59,90 @@ std::string encode_chaos_spec(const ChaosSpec& spec) {
 }
 
 ChaosSpecDecode decode_chaos_spec(const std::string& text) {
-  using serialize_detail::parse_number;
   ChaosSpecDecode out;
-  if (text.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
+  const serialize_detail::SpecLines spec_lines =
+      serialize_detail::split_spec(text, kSpecMagic, kSpecVersion);
+  if (!spec_lines.ok()) {
+    out.error = spec_lines.error;
     return out;
   }
-
-  std::vector<std::string_view> lines;
-  std::string_view rest = text;
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    lines.push_back(rest.substr(0, nl));
-    if (nl == std::string_view::npos) break;
-    rest.remove_prefix(nl + 1);
-  }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
-    return out;
-  }
-
-  const std::vector<std::string_view> head = split(lines.front());
-  if (head.size() != 2 || head[0] != kSpecMagic) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(lines.front())};
-    return out;
-  }
-  const auto version = parse_number<int>(head[1]);
-  if (!version) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(head[1])};
-    return out;
-  }
-  if (*version < 1 || *version > kSpecVersion) {
-    out.error = {DecodeErrorKind::kUnsupportedVersion, 1,
-                 "spec version " + std::to_string(*version)};
-    return out;
-  }
+  const std::vector<std::string_view>& lines = spec_lines.lines;
 
   ChaosSpec& spec = out.spec;
   FaultSpec& f = spec.faults;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::size_t line_no = i + 1;
-    const std::vector<std::string_view> tokens = split(lines[i]);
-    if (tokens.empty()) continue;
-    const std::string_view key = tokens.front();
-
-    const auto want = [&](std::size_t n) {
-      if (tokens.size() == n + 1) return true;
-      out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                   std::string(lines[i])};
-      return false;
-    };
-    const auto num = [&](std::string_view token, auto& field) {
-      using T = std::remove_reference_t<decltype(field)>;
-      const auto v = parse_number<T>(token);
-      if (!v) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      field = *v;
-      return true;
-    };
-    const auto dbl = [&](std::string_view token, double& field) {
-      if (!parse_double(token, field)) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
-    const auto flag = [&](std::string_view token, bool& field) {
-      if (token == "1") {
-        field = true;
-      } else if (token == "0") {
-        field = false;
-      } else {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
+    serialize_detail::SpecLine in(lines[i], i + 1, out.error);
+    if (in.tokens.empty()) continue;
+    const std::string_view key = in.tokens.front();
 
     bool handled = true;
     if (key == "seed") {
-      handled = want(1) && num(tokens[1], spec.seed);
+      handled = in.want(1) && in.num(1, spec.seed);
     } else if (key == "sites") {
-      handled = want(1) && num(tokens[1], spec.sites);
+      handled = in.want(1) && in.num(1, spec.sites);
     } else if (key == "actions") {
-      handled = want(1) && num(tokens[1], spec.actions_per_site);
+      handled = in.want(1) && in.num(1, spec.actions_per_site);
     } else if (key == "interval") {
-      handled = want(1) && num(tokens[1], spec.gossip_interval);
+      handled = in.want(1) && in.num(1, spec.gossip_interval);
     } else if (key == "budget") {
-      handled = want(1) && num(tokens[1], spec.step_budget);
+      handled = in.want(1) && in.num(1, spec.step_budget);
     } else if (key == "horizon") {
-      handled = want(1) && num(tokens[1], spec.fault_horizon);
+      handled = in.want(1) && in.num(1, spec.fault_horizon);
     } else if (key == "pwindow") {
-      handled = want(1) && num(tokens[1], spec.partition_window);
+      handled = in.want(1) && in.num(1, spec.partition_window);
     } else if (key == "crashlen") {
-      handled = want(1) && num(tokens[1], spec.crash_length);
+      handled = in.want(1) && in.num(1, spec.crash_length);
     } else if (key == "deep") {
-      handled = want(1) && flag(tokens[1], spec.deep_replay);
+      handled = in.want(1) && in.flag(1, spec.deep_replay);
     } else if (key == "commit") {
-      handled = want(1) && flag(tokens[1], spec.commitment);
+      handled = in.want(1) && in.flag(1, spec.commitment);
     } else if (key == "corrupt") {
-      handled = want(1) && dbl(tokens[1], f.corrupt);
+      handled = in.want(1) && in.dbl(1, f.corrupt);
     } else if (key == "truncate") {
-      handled = want(1) && dbl(tokens[1], f.truncate);
+      handled = in.want(1) && in.dbl(1, f.truncate);
     } else if (key == "site-down") {
-      handled = want(1) && dbl(tokens[1], f.site_down);
+      handled = in.want(1) && in.dbl(1, f.site_down);
     } else if (key == "lose") {
-      handled = want(1) && dbl(tokens[1], f.lose);
+      handled = in.want(1) && in.dbl(1, f.lose);
     } else if (key == "max-corrupt") {
-      handled = want(1) && num(tokens[1], f.max_corrupt_bytes);
+      handled = in.want(1) && in.num(1, f.max_corrupt_bytes);
     } else if (key == "delay-max") {
-      handled = want(1) && num(tokens[1], f.delay_max);
+      handled = in.want(1) && in.num(1, f.delay_max);
     } else if (key == "reorder") {
-      handled = want(1) && dbl(tokens[1], f.reorder);
+      handled = in.want(1) && in.dbl(1, f.reorder);
     } else if (key == "reorder-max") {
-      handled = want(1) && num(tokens[1], f.reorder_max);
+      handled = in.want(1) && in.num(1, f.reorder_max);
     } else if (key == "duplicate") {
-      handled = want(1) && dbl(tokens[1], f.duplicate);
+      handled = in.want(1) && in.dbl(1, f.duplicate);
     } else if (key == "partition") {
-      handled = want(1) && dbl(tokens[1], f.partition);
+      handled = in.want(1) && in.dbl(1, f.partition);
     } else if (key == "drop-vote") {
-      handled = want(1) && dbl(tokens[1], f.drop_vote);
+      handled = in.want(1) && in.dbl(1, f.drop_vote);
     } else if (key == "stale-vote") {
-      handled = want(1) && dbl(tokens[1], f.stale_vote);
+      handled = in.want(1) && in.dbl(1, f.stale_vote);
     } else if (key == "capture-crash") {
-      handled = want(1) && dbl(tokens[1], f.capture_crash);
+      handled = in.want(1) && in.dbl(1, f.capture_crash);
     } else if (key == "capture-short") {
-      handled = want(1) && dbl(tokens[1], f.capture_short);
+      handled = in.want(1) && in.dbl(1, f.capture_short);
     } else if (key == "capture-flip") {
-      handled = want(1) && dbl(tokens[1], f.capture_flip);
+      handled = in.want(1) && in.dbl(1, f.capture_flip);
     } else if (key == "cut") {
       ChaosPartition p;
-      handled = want(4) && num(tokens[3], p.at) && num(tokens[4], p.heal_at);
+      handled = in.want(4) && in.num(3, p.at) && in.num(4, p.heal_at);
       if (handled) {
-        p.a = std::string(tokens[1]);
-        p.b = std::string(tokens[2]);
+        p.a = std::string(in.tokens[1]);
+        p.b = std::string(in.tokens[2]);
         spec.partitions.push_back(std::move(p));
       }
     } else if (key == "crash") {
       ChaosCrash c;
-      handled = want(3) && num(tokens[2], c.at) && num(tokens[3], c.restart_at);
+      handled = in.want(3) && in.num(2, c.at) && in.num(3, c.restart_at);
       if (handled) {
-        c.site = std::string(tokens[1]);
+        c.site = std::string(in.tokens[1]);
         spec.crashes.push_back(std::move(c));
       }
     } else {
-      out.error = {DecodeErrorKind::kUnknownOp, line_no, std::string(key)};
+      in.fail(DecodeErrorKind::kUnknownOp, std::string(key));
       return out;
     }
     if (!handled) return out;

@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+
+#include "solver/components.hpp"
 
 namespace icecube {
 
 IncrementalConstraintGraph::IncrementalConstraintGraph(
     const Universe& universe)
     : universe_(&universe), by_target_(universe.size()) {}
+
+IncrementalConstraintGraph IncrementalConstraintGraph::build(
+    const Universe& universe, const std::vector<ActionRecord>& records) {
+  IncrementalConstraintGraph graph(universe);
+  for (const ActionRecord& rec : records) {
+    graph.add_action(rec.action, rec.log, rec.position);
+  }
+  return graph;
+}
 
 std::uint32_t IncrementalConstraintGraph::find(std::uint32_t v) {
   while (parent_[v] != v) {
@@ -30,8 +42,9 @@ void IncrementalConstraintGraph::unite(std::uint32_t a, std::uint32_t b) {
   --components_;
 }
 
-ActionId IncrementalConstraintGraph::add_action(ActionPtr action, LogId log,
-                                                std::size_t position) {
+ActionId IncrementalConstraintGraph::add_action(
+    ActionPtr action, LogId log, std::size_t position,
+    std::vector<ActionId>* merged) {
   const std::uint32_t id = static_cast<std::uint32_t>(records_.size());
   records_.push_back(ActionRecord{std::move(action), log, position});
   const ActionRecord& rb = records_.back();
@@ -57,10 +70,25 @@ ActionId IncrementalConstraintGraph::add_action(ActionPtr action, LogId log,
   // target list — a virtual call returning a fresh vector — is extracted
   // exactly once per arrival.
   pair_others_.clear();
+  partner_roots_.clear();
   const std::vector<ObjectId> targets = rb.action->targets();
   for (ObjectId t : targets) {
     assert(t.index() < by_target_.size() &&
            "action targets an object unknown to the universe");
+    // A target listed twice was probed and indexed by its first occurrence;
+    // probing again would pair the action with itself.
+    if (!by_target_[t.index()].empty() &&
+        by_target_[t.index()].back().value() == id) {
+      continue;
+    }
+    if (merged != nullptr && !by_target_[t.index()].empty()) {
+      // Every action indexed under one target is already in one component,
+      // and the list is in ascending id order: its front is the smallest
+      // partner this target contributes, and its root is pre-arrival (no
+      // union has run yet).
+      const std::uint32_t first = by_target_[t.index()].front().value();
+      partner_roots_.emplace_back(first, find(first));
+    }
     for (ActionId other : by_target_[t.index()]) {
       if (paired_stamp_[other.index()] == id + 1) {
         pair_targets_pool_[pair_slot_[other.index()]].push_back(t);
@@ -77,14 +105,27 @@ ActionId IncrementalConstraintGraph::add_action(ActionPtr action, LogId log,
     by_target_[t.index()].push_back(ActionId(id));
   }
 
-  // Phase 2: evaluate each pair over its precomputed shared set, with
-  // exactly the batch builder's direction rules — a same-log pair is safe
-  // in its recorded direction, so only log-reversing directions run.
+  if (merged != nullptr) {
+    // At most one entry per target, so the sort and the linear dedupe are
+    // cheap.
+    std::sort(partner_roots_.begin(), partner_roots_.end());
+    merged->clear();
+    for (const auto& [partner, root] : partner_roots_) {
+      if (std::find(merged->begin(), merged->end(), ActionId(root)) ==
+          merged->end()) {
+        merged->push_back(ActionId(root));
+      }
+    }
+  }
+
+  // Phase 2: evaluate each pair over its precomputed shared set, with the
+  // dense builder's direction rules — a same-log pair is safe in its
+  // recorded direction, so only log-reversing directions run.
   for (std::size_t k = 0; k < pair_others_.size(); ++k) {
     const ActionId other = pair_others_[k];
     const std::vector<ObjectId>& shared = pair_targets_pool_[k];
     const ActionRecord& ra = records_[other.index()];
-    // `other` < `id`, matching the builder's (lo, hi) pair orientation.
+    // `other` < `id`: the pair's (lo, hi) orientation.
     graph_.overlap_lists[other.index()].push_back(ActionId(id));
     graph_.overlap_lists[id].push_back(other);
     const bool a_first = ra.before_in_log(rb);
@@ -136,6 +177,30 @@ const std::vector<ActionId>& IncrementalConstraintGraph::component_members(
     members_scratch_.push_back(ActionId(v));
   }
   return members_scratch_;
+}
+
+std::vector<std::vector<ActionId>> IncrementalConstraintGraph::components() {
+  // Walking ids in priority order makes every member list priority-sorted
+  // and opens components in order of their minimum priority.
+  std::vector<std::uint32_t> order(records_.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return stream_priority(records_[a]) <
+                     stream_priority(records_[b]);
+            });
+  std::vector<std::uint32_t> slot(records_.size(), kNoMember);
+  std::vector<std::vector<ActionId>> out;
+  out.reserve(components_);
+  for (std::uint32_t v : order) {
+    const std::uint32_t root = find(v);
+    if (slot[root] == kNoMember) {
+      slot[root] = static_cast<std::uint32_t>(out.size());
+      out.emplace_back().reserve(comp_size_[root]);
+    }
+    out[slot[root]].push_back(ActionId(v));
+  }
+  return out;
 }
 
 std::vector<ActionId> IncrementalConstraintGraph::take_dirty_roots() {

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/constraint_builder.hpp"
@@ -30,13 +31,13 @@
 
 namespace icecube {
 
-/// Streaming-side constraint maintenance (DESIGN.md §15): the sparse
-/// target-inverted constraint graph of `build_solver_graph`, extended one
-/// action at a time. Each arrival evaluates only its pairs against
-/// already-known actions sharing a target — amortised O(overlap) per
-/// action, never touching the Θ(n²) matrix — and the resulting adjacency
-/// lists are element-for-element identical to a batch build over the same
-/// record sequence.
+/// The sparse constraint graph (DESIGN.md §13, §15): the only builder of
+/// the adjacency-list SolverGraph and the only owner of its conflict
+/// partition. Actions are added one at a time; each arrival evaluates only
+/// its pairs against already-known actions sharing a target — amortised
+/// O(overlap) per action, never touching the Θ(n²) matrix. The batch
+/// greedy/local-search path feeds its records in flatten order (`build`);
+/// the streaming daemon feeds arrivals as they come.
 ///
 /// Alongside the graph it maintains the conflict-component partition
 /// (union–find, merged small-into-large) and a dirty set: the components
@@ -52,16 +53,27 @@ class IncrementalConstraintGraph {
   /// exist in it.
   explicit IncrementalConstraintGraph(const Universe& universe);
 
-  /// Appends one action and extends the graph. Returns the new id.
-  ActionId add_action(ActionPtr action, LogId log, std::size_t position);
+  /// The graph of `records` with ids equal to their indices — flatten
+  /// order gives the batch ids.
+  [[nodiscard]] static IncrementalConstraintGraph build(
+      const Universe& universe, const std::vector<ActionRecord>& records);
+
+  /// Appends one action and extends the graph. Returns the new id. When
+  /// `merged` is non-null it receives the roots, as they were before this
+  /// arrival, of the components the arrival joined — each once, ordered by
+  /// the smallest partner id the arrival shares a target with.
+  ActionId add_action(ActionPtr action, LogId log, std::size_t position,
+                      std::vector<ActionId>* merged = nullptr);
 
   [[nodiscard]] const std::vector<ActionRecord>& records() const {
     return records_;
   }
   [[nodiscard]] const SolverGraph& graph() const { return graph_; }
+  /// Moves the adjacency lists out; the graph is spent afterwards.
+  [[nodiscard]] SolverGraph take_graph() { return std::move(graph_); }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Pair-evaluation work counters, comparable with the batch builder's.
+  /// Pair-evaluation work counters.
   [[nodiscard]] const ConstraintBuildStats& build_stats() const {
     return stats_;
   }
@@ -73,6 +85,10 @@ class IncrementalConstraintGraph {
   /// valid until the next call or add_action.
   [[nodiscard]] const std::vector<ActionId>& component_members(ActionId root);
   [[nodiscard]] std::size_t component_count() const { return components_; }
+  /// Every component, members sorted by stream priority and components by
+  /// their minimum member's priority — the order the batch solver walks
+  /// and merges them in.
+  [[nodiscard]] std::vector<std::vector<ActionId>> components();
 
   /// Current roots of every component touched since the last call
   /// (deduplicated, in ascending root id); clears the dirty set.
@@ -101,6 +117,9 @@ class IncrementalConstraintGraph {
   std::vector<ActionId> pair_others_;
   std::vector<std::uint32_t> pair_slot_;
   std::vector<std::vector<ObjectId>> pair_targets_pool_;
+  /// Scratch for `merged`: per target, (smallest partner id under it, that
+  /// partner's pre-arrival root).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> partner_roots_;
 
   std::vector<std::uint32_t> parent_;
   /// Component membership as an intrusive singly-linked chain per root

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/degrade.hpp"
+#include "core/incremental.hpp"
 #include "core/selection.hpp"
 #include "solver/backend.hpp"
 #include "util/timer.hpp"
@@ -43,7 +44,11 @@ Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
   sparse_ = resolved_backend_ == SolverKind::kGreedy ||
             resolved_backend_ == SolverKind::kLocalSearch;
   if (sparse_) {
-    graph_ = build_solver_graph(initial_, records_, &build_stats_);
+    IncrementalConstraintGraph built =
+        IncrementalConstraintGraph::build(initial_, records_);
+    build_stats_ = built.build_stats();
+    components_ = built.components();
+    graph_ = built.take_graph();
   } else {
     matrix_ =
         build_constraints(initial_, records_, {pool_.get(), &build_stats_});
@@ -75,6 +80,7 @@ ReconcileResult Reconciler::run() {
     // engine (cycle members are frozen out), so no cutset analysis runs.
     cutsets.push_back(Cutset{});
     ctx.graph = &graph_;
+    ctx.components = &components_;
   } else {
     CutsetAnalysis cuts = find_proper_cutsets(relations_, options_.max_cycles,
                                               options_.max_cutsets);

@@ -100,8 +100,12 @@ class Reconciler {
   ConstraintMatrix matrix_;
   ConstraintBuildStats build_stats_;
   Relations relations_;
-  /// Sparse adjacency graph (greedy/local-search path only).
+  /// Sparse adjacency graph and its priority-sorted conflict components
+  /// (greedy/local-search path only). Only the built results are kept, not
+  /// the IncrementalConstraintGraph: it points at `initial_`, which a move
+  /// of the reconciler would leave behind.
   SolverGraph graph_;
+  std::vector<std::vector<ActionId>> components_;
   SolverKind resolved_backend_ = SolverKind::kDfs;
   bool sparse_ = false;
   /// Shared target→actions overlap index for the §6 causal keys, built once

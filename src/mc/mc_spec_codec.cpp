@@ -11,28 +11,6 @@ namespace {
 constexpr std::string_view kSpecMagic = "mc-spec";
 constexpr int kSpecVersion = 1;
 
-void put(std::string& out, std::string_view key, const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start < line.size()) {
-    const std::size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      tokens.push_back(line.substr(start));
-      break;
-    }
-    if (end > start) tokens.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return tokens;
-}
-
 bool kind_from_string(std::string_view name, ChoiceKind& out) {
   for (std::uint8_t k = 0; k <= static_cast<std::uint8_t>(ChoiceKind::kHeal);
        ++k) {
@@ -49,11 +27,9 @@ bool kind_from_string(std::string_view name, ChoiceKind& out) {
 
 std::string encode_mc_spec(const McConfig& config,
                            const std::vector<Choice>& schedule) {
+  using serialize_detail::put;
   std::string out;
-  out += kSpecMagic;
-  out += ' ';
-  out += std::to_string(kSpecVersion);
-  out += '\n';
+  serialize_detail::put_spec_header(out, kSpecMagic, kSpecVersion);
   put(out, "sites", std::to_string(config.sites));
   put(out, "actions", std::to_string(config.actions));
   put(out, "seed", std::to_string(config.seed));
@@ -71,107 +47,48 @@ std::string encode_mc_spec(const McConfig& config,
 }
 
 McSpecDecode decode_mc_spec(const std::string& text) {
-  using serialize_detail::parse_number;
   McSpecDecode out;
-  if (text.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
+  const serialize_detail::SpecLines spec_lines =
+      serialize_detail::split_spec(text, kSpecMagic, kSpecVersion);
+  if (!spec_lines.ok()) {
+    out.error = spec_lines.error;
     return out;
   }
-
-  std::vector<std::string_view> lines;
-  std::string_view rest = text;
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    lines.push_back(rest.substr(0, nl));
-    if (nl == std::string_view::npos) break;
-    rest.remove_prefix(nl + 1);
-  }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
-    return out;
-  }
-
-  const std::vector<std::string_view> head = split(lines.front());
-  if (head.size() != 2 || head[0] != kSpecMagic) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(lines.front())};
-    return out;
-  }
-  const auto version = parse_number<int>(head[1]);
-  if (!version) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(head[1])};
-    return out;
-  }
-  if (*version < 1 || *version > kSpecVersion) {
-    out.error = {DecodeErrorKind::kUnsupportedVersion, 1,
-                 "spec version " + std::to_string(*version)};
-    return out;
-  }
+  const std::vector<std::string_view>& lines = spec_lines.lines;
 
   McConfig& config = out.config;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::size_t line_no = i + 1;
-    const std::vector<std::string_view> tokens = split(lines[i]);
-    if (tokens.empty()) continue;
-    const std::string_view key = tokens.front();
-
-    const auto want = [&](std::size_t n) {
-      if (tokens.size() == n + 1) return true;
-      out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                   std::string(lines[i])};
-      return false;
-    };
-    const auto num = [&](std::string_view token, auto& field) {
-      using T = std::remove_reference_t<decltype(field)>;
-      const auto v = parse_number<T>(token);
-      if (!v) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      field = *v;
-      return true;
-    };
-    const auto flag = [&](std::string_view token, bool& field) {
-      if (token == "1") {
-        field = true;
-      } else if (token == "0") {
-        field = false;
-      } else {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
+    serialize_detail::SpecLine in(lines[i], i + 1, out.error);
+    if (in.tokens.empty()) continue;
+    const std::string_view key = in.tokens.front();
 
     bool handled = true;
     if (key == "sites") {
-      handled = want(1) && num(tokens[1], config.sites);
+      handled = in.want(1) && in.num(1, config.sites);
     } else if (key == "actions") {
-      handled = want(1) && num(tokens[1], config.actions);
+      handled = in.want(1) && in.num(1, config.actions);
     } else if (key == "seed") {
-      handled = want(1) && num(tokens[1], config.seed);
+      handled = in.want(1) && in.num(1, config.seed);
     } else if (key == "commitment") {
-      handled = want(1) && flag(tokens[1], config.commitment);
+      handled = in.want(1) && in.flag(1, config.commitment);
     } else if (key == "algebra") {
-      handled = want(1) && flag(tokens[1], config.algebra);
+      handled = in.want(1) && in.flag(1, config.algebra);
     } else if (key == "withhold") {
-      handled = want(1) && flag(tokens[1], config.withhold);
+      handled = in.want(1) && in.flag(1, config.withhold);
     } else if (key == "drops") {
-      handled = want(1) && num(tokens[1], config.max_drops);
+      handled = in.want(1) && in.num(1, config.max_drops);
     } else if (key == "dups") {
-      handled = want(1) && num(tokens[1], config.max_dups);
+      handled = in.want(1) && in.num(1, config.max_dups);
     } else if (key == "crashes") {
-      handled = want(1) && num(tokens[1], config.max_crashes);
+      handled = in.want(1) && in.num(1, config.max_crashes);
     } else if (key == "cuts") {
-      handled = want(1) && num(tokens[1], config.max_cuts);
+      handled = in.want(1) && in.num(1, config.max_cuts);
     } else if (key == "mutant") {
       unsigned value = 0;
-      handled = want(1) && num(tokens[1], value);
+      handled = in.want(1) && in.num(1, value);
       if (handled && value > kProtocolMutantMax) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     "mutant " + std::to_string(value)};
+        in.fail(DecodeErrorKind::kBadNumber,
+                "mutant " + std::to_string(value));
         return out;
       }
       if (handled) {
@@ -182,12 +99,11 @@ McSpecDecode decode_mc_spec(const std::string& text) {
       unsigned site = 0;
       unsigned peer = 0;
       unsigned index = 0;
-      handled = want(4) && num(tokens[2], site) && num(tokens[3], peer) &&
-                num(tokens[4], index);
-      if (handled && (!kind_from_string(tokens[1], c.kind) || site > 255 ||
+      handled = in.want(4) && in.num(2, site) && in.num(3, peer) &&
+                in.num(4, index);
+      if (handled && (!kind_from_string(in.tokens[1], c.kind) || site > 255 ||
                       peer > 255 || index > 255)) {
-        out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                     std::string(lines[i])};
+        in.fail(DecodeErrorKind::kBadSyntax, std::string(in.line()));
         return out;
       }
       if (handled) {
@@ -197,7 +113,7 @@ McSpecDecode decode_mc_spec(const std::string& text) {
         out.schedule.push_back(c);
       }
     } else {
-      out.error = {DecodeErrorKind::kUnknownOp, line_no, std::string(key)};
+      in.fail(DecodeErrorKind::kUnknownOp, std::string(key));
       return out;
     }
     if (!handled) return out;

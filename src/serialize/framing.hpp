@@ -12,13 +12,21 @@
 // std::sto* family silently accepts trailing garbage and negative values
 // where unsigned is expected, which under corruption turns damaged tokens
 // into plausible-looking values.
+//
+// The self-describing run specs (chaos, stream, model-checker captures)
+// share a simpler key/value text, also encoded and decoded here:
+//
+//   <magic> <version>
+//   <key> <args...>          (one per line, space-separated)
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "serialize/decode_error.hpp"
@@ -41,6 +49,151 @@ template <typename T>
   if (ec != std::errc{} || ptr != last) return std::nullopt;
   return value;
 }
+
+/// Whole-token double parse (std::from_chars: locale-free, no trailing
+/// garbage).
+[[nodiscard]] inline bool parse_double(std::string_view token, double& out) {
+  const char* first = token.data();
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  return ec == std::errc{} && ptr == last;
+}
+
+/// 17 significant digits round-trip any double exactly, and re-printing
+/// the parsed value reproduces the same string.
+[[nodiscard]] inline std::string fmt_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Appends the spec header line "<magic> <version>".
+inline void put_spec_header(std::string& out, std::string_view magic,
+                            int version) {
+  out += magic;
+  out += ' ';
+  out += std::to_string(version);
+  out += '\n';
+}
+
+/// Appends one spec line "<key> <value>".
+inline void put(std::string& out, std::string_view key,
+                const std::string& value) {
+  out += key;
+  out += ' ';
+  out += value;
+  out += '\n';
+}
+
+/// Space-separated tokens of `line`; runs of spaces separate like one.
+[[nodiscard]] inline std::vector<std::string_view> split(
+    std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t start = 0;
+  while (start < line.size()) {
+    const std::size_t end = line.find(' ', start);
+    if (end == std::string_view::npos) {
+      tokens.push_back(line.substr(start));
+      break;
+    }
+    if (end > start) tokens.push_back(line.substr(start, end - start));
+    start = end + 1;
+  }
+  return tokens;
+}
+
+/// A spec text split into lines (trailing empty lines dropped) whose header
+/// passed the magic and version check; `lines[0]` is the header, content
+/// line i is file line i + 1.
+struct SpecLines {
+  std::vector<std::string_view> lines;
+  DecodeError error;
+
+  [[nodiscard]] bool ok() const { return error.ok(); }
+};
+
+/// Splits `text` and checks its header is exactly "<magic> <version>" with
+/// a version in [1, max_version].
+[[nodiscard]] inline SpecLines split_spec(std::string_view text,
+                                          std::string_view magic,
+                                          int max_version) {
+  SpecLines out;
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
+    out.lines.push_back(text.substr(0, nl));
+    if (nl == std::string_view::npos) break;
+    text.remove_prefix(nl + 1);
+  }
+  while (!out.lines.empty() && out.lines.back().empty()) out.lines.pop_back();
+  if (out.lines.empty()) {
+    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
+    return out;
+  }
+  const std::vector<std::string_view> head = split(out.lines.front());
+  if (head.size() != 2 || head[0] != magic) {
+    out.error = {DecodeErrorKind::kBadHeader, 1,
+                 std::string(out.lines.front())};
+    return out;
+  }
+  const auto version = parse_number<int>(head[1]);
+  if (!version) {
+    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(head[1])};
+    return out;
+  }
+  if (*version < 1 || *version > max_version) {
+    out.error = {DecodeErrorKind::kUnsupportedVersion, 1,
+                 "spec version " + std::to_string(*version)};
+  }
+  return out;
+}
+
+/// One content line "<key> <args...>" of a spec, with the argument
+/// decoders every spec codec uses. Each decoder records its failure into
+/// the caller's `error` and returns false.
+class SpecLine {
+ public:
+  SpecLine(std::string_view line, std::size_t line_no, DecodeError& error)
+      : tokens(split(line)), line_(line), line_no_(line_no), error_(&error) {}
+
+  /// Exactly `n` arguments after the key.
+  [[nodiscard]] bool want(std::size_t n) {
+    if (tokens.size() == n + 1) return true;
+    return fail(DecodeErrorKind::kBadSyntax, std::string(line_));
+  }
+  /// Argument `i` (the key is token 0) as an integer.
+  template <typename T>
+  [[nodiscard]] bool num(std::size_t i, T& field) {
+    const auto v = parse_number<T>(tokens[i]);
+    if (!v) return fail(DecodeErrorKind::kBadNumber, std::string(tokens[i]));
+    field = *v;
+    return true;
+  }
+  [[nodiscard]] bool dbl(std::size_t i, double& field) {
+    if (parse_double(tokens[i], field)) return true;
+    return fail(DecodeErrorKind::kBadNumber, std::string(tokens[i]));
+  }
+  /// "1" or "0".
+  [[nodiscard]] bool flag(std::size_t i, bool& field) {
+    if (tokens[i] != "1" && tokens[i] != "0") {
+      return fail(DecodeErrorKind::kBadNumber, std::string(tokens[i]));
+    }
+    field = tokens[i] == "1";
+    return true;
+  }
+  /// Records a failure of this line; returns false.
+  bool fail(DecodeErrorKind kind, std::string detail) {
+    *error_ = {kind, line_no_, std::move(detail)};
+    return false;
+  }
+  [[nodiscard]] std::string_view line() const { return line_; }
+
+  std::vector<std::string_view> tokens;
+
+ private:
+  std::string_view line_;
+  std::size_t line_no_;
+  DecodeError* error_;
+};
 
 /// Renders the trailer line (with terminating newline) for `body`, which
 /// must be every byte of the frame above the trailer.

@@ -57,9 +57,12 @@ struct SolveContext {
   /// the sparse path.
   const Relations* relations = nullptr;
   const std::vector<Cutset>* cutsets = nullptr;
-  /// Sparse adjacency graph: required by kGreedy/kLocalSearch on the sparse
-  /// path; kAuto derives one from `relations` on demand.
+  /// Sparse adjacency graph and its conflict components (priority-sorted,
+  /// see IncrementalConstraintGraph::components): required by
+  /// kGreedy/kLocalSearch on the sparse path; kAuto builds a graph for its
+  /// large cutsets on demand.
   const SolverGraph* graph = nullptr;
+  const std::vector<std::vector<ActionId>>* components = nullptr;
 
   /// Worker pool for the DFS parallel driver (null = sequential). The
   /// greedy/local-search backends are single-threaded by construction —

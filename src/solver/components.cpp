@@ -8,49 +8,6 @@
 
 namespace icecube {
 
-std::vector<std::vector<ActionId>> conflict_components(
-    const std::vector<ActionRecord>& records, const SolverGraph& graph) {
-  const std::size_t n = graph.n;
-  std::vector<std::uint32_t> label(n, UINT32_MAX);
-  std::uint32_t next_label = 0;
-  std::vector<ActionId> stack;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (label[s] != UINT32_MAX) continue;
-    const std::uint32_t comp = next_label++;
-    label[s] = comp;
-    stack.push_back(ActionId(s));
-    while (!stack.empty()) {
-      const ActionId v = stack.back();
-      stack.pop_back();
-      for (ActionId w : graph.overlap_lists[v.index()]) {
-        if (label[w.index()] == UINT32_MAX) {
-          label[w.index()] = comp;
-          stack.push_back(w);
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<ActionId>> components(next_label);
-  for (std::size_t i = 0; i < n; ++i) {
-    components[label[i]].push_back(ActionId(i));
-  }
-  const auto by_priority = [&records](ActionId a, ActionId b) {
-    return stream_priority(records[a.index()]) <
-           stream_priority(records[b.index()]);
-  };
-  for (auto& members : components) {
-    std::sort(members.begin(), members.end(), by_priority);
-  }
-  std::sort(components.begin(), components.end(),
-            [&records](const std::vector<ActionId>& a,
-                       const std::vector<ActionId>& b) {
-              return stream_priority(records[a.front().index()]) <
-                     stream_priority(records[b.front().index()]);
-            });
-  return components;
-}
-
 SubProblem extract_subproblem(const std::vector<ActionRecord>& records,
                               const SolverGraph& graph,
                               const std::vector<ActionId>& members) {

@@ -8,6 +8,10 @@
 // component, and any interleaving of per-component schedules is a valid
 // global schedule.
 //
+// IncrementalConstraintGraph maintains the partition as a union–find while
+// it builds the graph (edges are a subset of overlaps — an unsafe pair
+// shares a target — so overlap connectivity is the whole relation).
+//
 // The greedy/local-search backends exploit this by solving each component
 // separately and merging deterministically. Beyond the straight perf win
 // (per-component walks, no cross-component move proposals that can never
@@ -53,13 +57,6 @@ struct SubProblem {
   std::vector<ActionId> global_ids;   ///< local id → caller id
   std::uint64_t min_priority = 0;     ///< priority of local id 0
 };
-
-/// Connected components of the target-overlap relation. Members are caller
-/// ids sorted by stream priority; components are sorted by their minimum
-/// member priority. (Edges are a subset of overlaps — an unsafe pair shares
-/// a target — so overlap connectivity is the whole relation.)
-[[nodiscard]] std::vector<std::vector<ActionId>> conflict_components(
-    const std::vector<ActionRecord>& records, const SolverGraph& graph);
 
 /// Compacts one component (members as caller ids, any order) into a
 /// SubProblem.

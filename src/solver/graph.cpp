@@ -17,114 +17,13 @@ bool SolverGraph::has_edge(ActionId a, ActionId b) const {
 }
 
 bool SolverGraph::overlaps(ActionId a, ActionId b) const {
-  if (!overlap_bits.empty()) return overlap_bits[a.index()].test(b.index());
-  if (!overlap_lists.empty()) return sorted_contains(overlap_lists[a.index()], b);
-  return false;
+  return sorted_contains(overlap_lists[a.index()], b);
 }
 
 std::size_t SolverGraph::edge_count() const {
   std::size_t total = 0;
   for (const auto& list : succs) total += list.size();
   return total;
-}
-
-SolverGraph build_solver_graph(const Universe& universe,
-                               const std::vector<ActionRecord>& records,
-                               ConstraintBuildStats* stats) {
-  const std::size_t n = records.size();
-  SolverGraph graph;
-  graph.n = n;
-  graph.preds.resize(n);
-  graph.succs.resize(n);
-  graph.overlap_lists.resize(n);
-  if (n == 0) return graph;
-
-  // Target → actions inverted index (dense over object ids, like the sparse
-  // matrix builder's).
-  std::vector<std::vector<ActionId>> by_target(universe.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (ObjectId t : records[i].action->targets()) {
-      by_target[t.index()].push_back(ActionId(i));
-    }
-  }
-
-  // Unordered pairs sharing at least one target, deduplicated across the
-  // targets they share.
-  std::vector<std::uint64_t> pair_keys;
-  for (const auto& group : by_target) {
-    for (std::size_t x = 0; x + 1 < group.size(); ++x) {
-      for (std::size_t y = x + 1; y < group.size(); ++y) {
-        const std::uint64_t lo = group[x].value();
-        const std::uint64_t hi = group[y].value();
-        pair_keys.push_back(lo < hi ? (lo << 32) | hi : (hi << 32) | lo);
-      }
-    }
-  }
-  std::sort(pair_keys.begin(), pair_keys.end());
-  pair_keys.erase(std::unique(pair_keys.begin(), pair_keys.end()),
-                  pair_keys.end());
-
-  for (const std::uint64_t key : pair_keys) {
-    const ActionId a(static_cast<std::size_t>(key >> 32));
-    const ActionId b(static_cast<std::size_t>(key & 0xffffffffULL));
-    const ActionRecord& ra = records[a.index()];
-    const ActionRecord& rb = records[b.index()];
-    graph.overlap_lists[a.index()].push_back(b);
-    graph.overlap_lists[b.index()].push_back(a);
-    // Per the Relations mapping, `constraint(x, y) = unsafe` adds the raw D
-    // edge y → x. A same-log pair is safe in its recorded direction (§2.3
-    // rule 2), so only the log-reversing direction is evaluated.
-    const bool a_first = ra.before_in_log(rb);
-    const bool b_first = rb.before_in_log(ra);
-    if (!a_first) {
-      if (stats != nullptr) ++stats->pairs_evaluated;
-      if (evaluate_constraint(universe, ra, rb) == Constraint::kUnsafe) {
-        graph.succs[b.index()].push_back(a);
-        graph.preds[a.index()].push_back(b);
-      }
-    }
-    if (!b_first) {
-      if (stats != nullptr) ++stats->pairs_evaluated;
-      if (evaluate_constraint(universe, rb, ra) == Constraint::kUnsafe) {
-        graph.succs[a.index()].push_back(b);
-        graph.preds[b.index()].push_back(a);
-      }
-    }
-    if (stats != nullptr) ++stats->target_set_builds;
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::sort(graph.preds[i].begin(), graph.preds[i].end());
-    std::sort(graph.succs[i].begin(), graph.succs[i].end());
-    std::sort(graph.overlap_lists[i].begin(), graph.overlap_lists[i].end());
-  }
-  return graph;
-}
-
-SolverGraph graph_from_relations(const Relations& relations,
-                                 std::vector<Bitset> overlap) {
-  const std::size_t n = relations.size();
-  SolverGraph graph;
-  graph.n = n;
-  graph.preds.resize(n);
-  graph.succs.resize(n);
-  graph.overlap_bits = std::move(overlap);
-  // The rescue move walks overlap adjacency lists, so materialise them from
-  // the bit rows as well (cheap: this path only runs under
-  // dense_graph_limit).
-  graph.overlap_lists.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    relations.raw_successors(ActionId(a)).for_each([&](std::size_t b) {
-      graph.succs[a].push_back(ActionId(b));
-      graph.preds[b].push_back(ActionId(a));
-    });
-    graph.overlap_bits[a].for_each([&](std::size_t b) {
-      graph.overlap_lists[a].push_back(ActionId(b));
-    });
-  }
-  // for_each yields ascending ids, so succs is sorted; preds receives each
-  // entry in ascending `a` order, which is also sorted.
-  return graph;
 }
 
 }  // namespace icecube

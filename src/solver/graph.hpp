@@ -13,22 +13,14 @@
 // a *topological* permutation invariant: a permutation respects the closed
 // relation iff it respects every raw edge.
 //
-// Two constructions are provided: `build_solver_graph` builds the lists
-// directly from the target-inverted index (never materialising a matrix —
-// the sparse path for large n), and `graph_from_relations` converts an
-// already-built dense Relations (used when the auto backend hands an
-// individual cutset to local search mid-run).
+// The lists are built by IncrementalConstraintGraph (core/incremental.hpp),
+// the one sparse construction: the batch path feeds it records in flatten
+// order, the streaming daemon feeds it arrivals one at a time.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "core/constraint_builder.hpp"
-#include "core/log.hpp"
-#include "core/relations.hpp"
-#include "core/universe.hpp"
-#include "util/bitset.hpp"
 #include "util/ids.hpp"
 
 namespace icecube {
@@ -42,33 +34,13 @@ struct SolverGraph {
   /// succs[a] = every b with a raw D edge a → b.
   std::vector<std::vector<ActionId>> succs;
 
-  /// Target-overlap neighbourhoods: exactly one representation is populated.
-  /// The sparse build fills `overlap_lists`; the Relations conversion reuses
-  /// the dense per-action bitsets (`overlap_bits`) when the caller has them.
+  /// overlap_lists[a] = every other action sharing at least one target
+  /// with a.
   std::vector<std::vector<ActionId>> overlap_lists;
-  std::vector<Bitset> overlap_bits;
 
   [[nodiscard]] bool has_edge(ActionId a, ActionId b) const;
   [[nodiscard]] bool overlaps(ActionId a, ActionId b) const;
   [[nodiscard]] std::size_t edge_count() const;
 };
-
-/// Builds the graph straight from the target→actions inverted index: only
-/// pairs sharing at least one target are evaluated (disjoint-target pairs
-/// are `safe` in both directions by §2.3 rule 1 and contribute nothing).
-/// Produces exactly the raw D edges `Relations::from_constraints` would
-/// derive from the full matrix, at O(Σ per-target group²) pair evaluations
-/// instead of Θ(n²) cells. Workloads funnelling every action through one
-/// object defeat that bound — their constraint graph genuinely is dense —
-/// so keep single-hot-object inputs on the DFS path sizes.
-[[nodiscard]] SolverGraph build_solver_graph(
-    const Universe& universe, const std::vector<ActionRecord>& records,
-    ConstraintBuildStats* stats = nullptr);
-
-/// Converts an existing dense Relations (raw edges only) plus the §6 overlap
-/// bitsets into the adjacency form. `overlap` may be empty when the caller
-/// only needs the dependence lists (the greedy backend).
-[[nodiscard]] SolverGraph graph_from_relations(const Relations& relations,
-                                               std::vector<Bitset> overlap);
 
 }  // namespace icecube

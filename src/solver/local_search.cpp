@@ -7,7 +7,7 @@
 #include <queue>
 #include <utility>
 
-#include "core/constraint_builder.hpp"
+#include "core/incremental.hpp"
 #include "solver/components.hpp"
 
 namespace icecube {
@@ -554,8 +554,7 @@ void solve_decomposed(const SolveContext& ctx, Selection& selection,
   const std::vector<ActionRecord>& records = *ctx.records;
   const ReconcilerOptions& options = *ctx.options;
 
-  const std::vector<std::vector<ActionId>> components =
-      conflict_components(records, *ctx.graph);
+  const std::vector<std::vector<ActionId>>& components = *ctx.components;
   const std::uint64_t digest0 = universe_state_digest(*ctx.initial);
 
   Universe working = ctx.initial->snapshot();
@@ -622,9 +621,10 @@ void solve_with_engine(const SolveContext& ctx, Selection& selection,
   SolverGraph derived;
   const SolverGraph* graph = ctx.graph;
   if (graph == nullptr) {
-    // Auto path: the dense relations exist; flip them into adjacency form.
-    derived = graph_from_relations(*ctx.relations,
-                                   build_target_overlap(records));
+    // Auto path: only the dense structures exist; build the sparse graph
+    // over the same records.
+    derived =
+        IncrementalConstraintGraph::build(*ctx.initial, records).take_graph();
     graph = &derived;
   }
 

@@ -29,12 +29,14 @@ double LatencyHistogram::quantile_ms(double q) const {
       std::ceil(q * static_cast<double>(count_)));
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (seen >= want && buckets_[b] > 0) {
-      // Geometric midpoint of bucket [2^b, 2^(b+1)).
-      const double lo = std::exp2(static_cast<double>(b));
-      return lo * 1.5 / 1e6;
+    if (seen + buckets_[b] >= want && buckets_[b] > 0) {
+      // The wanted sample's rank within bucket [2^b, 2^(b+1)), centred
+      // (the k-th of m sits at (k - 1/2) / m), placed geometrically.
+      const double rank = static_cast<double>(std::max(want, seen + 1) - seen);
+      const double frac = (rank - 0.5) / static_cast<double>(buckets_[b]);
+      return std::exp2(static_cast<double>(b) + frac) / 1e6;
     }
+    seen += buckets_[b];
   }
   return 0.0;
 }
@@ -68,8 +70,7 @@ StreamReconciler::StreamReconciler(Universe initial, StreamOptions options,
     : initial_(std::move(initial)),
       options_(options),
       capture_(capture),
-      graph_(initial_),
-      wheel_(0) {
+      graph_(initial_) {
   initial_.set_copy_mode(Universe::CopyMode::kCopyOnWrite);
   working_ = initial_.snapshot();
   digest0_ = universe_state_digest(initial_);
@@ -89,24 +90,13 @@ void StreamReconciler::emit(CaptureRecordKind kind, std::uint64_t time,
   capture_->record({kind, time, std::move(payload)});
 }
 
-std::uint32_t StreamReconciler::agg_find(std::uint32_t v) {
-  while (agg_parent_[v] != v) {
-    agg_parent_[v] = agg_parent_[agg_parent_[v]];
-    v = agg_parent_[v];
-  }
-  return v;
-}
-
-void StreamReconciler::agg_unite(std::uint32_t a, std::uint32_t b) {
-  a = agg_find(a);
-  b = agg_find(b);
-  if (a == b) return;
-  const auto weight = [this](std::uint32_t r) {
-    return aggs_[r].strands.size() + aggs_[r].pending.size();
+void StreamReconciler::absorb(Agg& into, Agg& from) {
+  // Small-into-large: append the lighter aggregate's vectors onto the
+  // heavier one's (swapping the two first when `into` is the lighter).
+  const auto weight = [](const Agg& agg) {
+    return agg.strands.size() + agg.pending.size();
   };
-  if (weight(a) < weight(b)) std::swap(a, b);
-  Agg& into = aggs_[a];
-  Agg& from = aggs_[b];
+  if (weight(into) < weight(from)) std::swap(into, from);
   into.strands.insert(into.strands.end(), from.strands.begin(),
                       from.strands.end());
   into.pending.insert(into.pending.end(), from.pending.begin(),
@@ -121,7 +111,6 @@ void StreamReconciler::agg_unite(std::uint32_t a, std::uint32_t b) {
     into.tail_strand = from.tail_strand;
   }
   from = Agg{};
-  agg_parent_[b] = a;
 }
 
 ActionId StreamReconciler::ingest(LogId log, ActionPtr action,
@@ -130,22 +119,23 @@ ActionId StreamReconciler::ingest(LogId log, ActionPtr action,
   const std::size_t li = log.index();
   if (next_position_.size() <= li) next_position_.resize(li + 1, 0);
   const std::uint32_t pos = next_position_[li]++;
-  const ActionId id = graph_.add_action(std::move(action), log, pos);
+  const ActionId id =
+      graph_.add_action(std::move(action), log, pos, &merged_roots_);
 
   ingest_ns_.push_back(submit_ns != 0 ? submit_ns : stream_now_ns());
   committed_status_.push_back(0);
   strand_of_.push_back(kNoStrand);
   frozen_.push_back(0);
   placed_epoch_.push_back(0);
-  agg_parent_.push_back(id.value());
+  // Fold the aggregates of the components the arrival joined, in the order
+  // it met them, file the result under the graph's new root and queue the
+  // arrival there.
   aggs_.emplace_back();
-  // Mirror the graph's unions (its partition is reachable only through
-  // member scans, which the fast path must avoid) and queue the arrival on
-  // its component.
-  for (ActionId nbr : graph_.graph().overlap_lists[id.index()]) {
-    agg_unite(id.value(), nbr.value());
-  }
-  aggs_[agg_find(id.value())].pending.push_back(id.value());
+  Agg joined;
+  for (ActionId root : merged_roots_) absorb(joined, aggs_[root.index()]);
+  Agg& agg = aggs_[graph_.component_root(id).index()];
+  agg = std::move(joined);
+  agg.pending.push_back(id.value());
   ++counters_.ingested;
 
   if (capture_ != nullptr) {
@@ -271,9 +261,8 @@ bool StreamReconciler::try_fast_appends(Agg& agg) {
   return true;
 }
 
-void StreamReconciler::full_resolve(Agg& agg, std::uint32_t rep,
+void StreamReconciler::full_resolve(Agg& agg, ActionId root,
                                     bool allow_moves) {
-  const ActionId root = graph_.component_root(ActionId(rep));
   const std::vector<ActionId>& members = graph_.component_members(root);
   const SubProblem sub =
       extract_subproblem(graph_.records(), graph_.graph(), members);
@@ -319,13 +308,13 @@ void StreamReconciler::full_resolve(Agg& agg, std::uint32_t rep,
   push_head(sid);
 }
 
-void StreamReconciler::process_root(std::uint32_t rep, bool allow_moves) {
-  Agg& agg = aggs_[rep];
+void StreamReconciler::process_root(ActionId root, bool allow_moves) {
+  Agg& agg = aggs_[root.index()];
   if (agg.pending.empty()) return;
   if (options_.backend != SolverKind::kLocalSearch && try_fast_appends(agg)) {
     return;
   }
-  full_resolve(agg, rep, allow_moves);
+  full_resolve(agg, root, allow_moves);
 }
 
 void StreamReconciler::push_head(std::uint32_t sid) {
@@ -409,35 +398,19 @@ void StreamReconciler::run_epoch() {
   ++counters_.epochs;
   const std::vector<ActionId> dirty = graph_.take_dirty_roots();
 
+  // Once the epoch's budget runs out, its remaining components degrade to
+  // their greedy construction. 0 = no budget (Deadline never expires).
+  const Deadline budget = Deadline::after_seconds(
+      static_cast<double>(options_.epoch_budget_us) / 1e6);
   bool degraded = false;
-  const bool budgeted = options_.epoch_budget_us > 0;
-  WheelTimer::TimerId budget_id = 0;
-  std::uint64_t base_ns = 0;
-  std::uint64_t wheel_base = 0;
-  if (budgeted) {
-    // Wheel ticks are microseconds relative to the daemon's lifetime; the
-    // epoch's deadline is one budget past its start tick.
-    base_ns = stream_now_ns();
-    wheel_base = wheel_.now();
-    budget_id = wheel_.schedule(wheel_base + options_.epoch_budget_us);
-  }
-
   const std::uint64_t fast_before = counters_.fast_appends;
   const std::uint64_t full_before = counters_.full_resolves;
-  for (ActionId groot : dirty) {
-    if (budgeted && !degraded) {
-      wheel_.advance(wheel_base + (stream_now_ns() - base_ns) / 1000,
-                     [&](WheelTimer::TimerId id, std::uint64_t) {
-                       if (id == budget_id) degraded = true;
-                     });
-    }
-    process_root(agg_find(groot.value()),
+  for (ActionId root : dirty) {
+    degraded = degraded || budget.expired();
+    process_root(root,
                  options_.backend == SolverKind::kLocalSearch && !degraded);
   }
-  if (budgeted) {
-    wheel_.cancel(budget_id);
-    if (degraded) ++counters_.degraded_epochs;
-  }
+  if (degraded) ++counters_.degraded_epochs;
 
   commit_walk(false);
   const std::uint64_t lag = counters_.ingested - counters_.committed;
@@ -462,20 +435,19 @@ StreamResult StreamReconciler::finish() {
   // membership, which is what batch equality needs.
   ++epoch_;
   ++counters_.epochs;
-  for (ActionId groot : graph_.take_dirty_roots()) {
-    process_root(agg_find(groot.value()),
-                 options_.backend == SolverKind::kLocalSearch);
+  for (ActionId root : graph_.take_dirty_roots()) {
+    process_root(root, options_.backend == SolverKind::kLocalSearch);
   }
   if (options_.backend == SolverKind::kLocalSearch) {
-    std::vector<std::uint32_t> reps;
+    std::vector<ActionId> roots;
     for (const Strand& s : strands_) {
       if (s.alive && s.needs_polish) {
-        reps.push_back(agg_find(s.solution.sequence.front().value()));
+        roots.push_back(graph_.component_root(s.solution.sequence.front()));
       }
     }
-    std::sort(reps.begin(), reps.end());
-    reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
-    for (std::uint32_t rep : reps) full_resolve(aggs_[rep], rep, true);
+    std::sort(roots.begin(), roots.end());
+    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+    for (ActionId root : roots) full_resolve(aggs_[root.index()], root, true);
   }
   finished_ = true;
 

@@ -42,7 +42,6 @@
 #include "solver/components.hpp"
 #include "util/crc32.hpp"
 #include "util/spsc_ring.hpp"
-#include "util/wheel_timer.hpp"
 
 namespace icecube {
 
@@ -55,16 +54,17 @@ struct StreamOptions {
   /// Epochs a component solution must survive undisturbed (no full
   /// re-solve) before its entries may commit. 0 commits the same epoch.
   std::uint64_t commit_quiescence = 1;
-  /// Per-epoch solve budget in microseconds; once the wheel-timer deadline
-  /// fires, the epoch's remaining components degrade to their greedy
-  /// construction (local search polishes them again in `finish`). 0 = no
-  /// budget (required for capture determinism).
+  /// Per-epoch solve budget in microseconds; once the epoch's deadline
+  /// passes, its remaining components degrade to their greedy construction
+  /// (local search polishes them again in `finish`). 0 = no budget
+  /// (required for capture determinism).
   std::uint64_t epoch_budget_us = 0;
 };
 
 /// Commit-latency distribution: log2-bucketed nanoseconds from submit (or
-/// ingest) to commit. Quantiles interpolate geometrically within a bucket —
-/// coarse, but allocation-free and O(1) per sample at ingest rates.
+/// ingest) to commit. A quantile interpolates geometrically within its
+/// bucket by the wanted sample's rank there — coarse, but allocation-free
+/// and O(1) per sample at ingest rates.
 class LatencyHistogram {
  public:
   void record(std::uint64_t ns) {
@@ -174,9 +174,9 @@ class StreamReconciler {
     bool needs_polish = false;  ///< greedy-degraded under the ls backend
   };
 
-  /// Daemon-side component aggregates, merged union-find style alongside
-  /// the graph's own partition (the graph exposes only roots; the fast
-  /// path must not scan members).
+  /// Daemon-side per-component state, kept at the graph's component root
+  /// (the fast path must not scan members) and folded together whenever an
+  /// arrival joins components.
   struct Agg {
     std::vector<std::uint32_t> strands;  ///< alive strand ids (superset)
     std::vector<std::uint32_t> pending;  ///< arrived, not yet placed
@@ -185,14 +185,14 @@ class StreamReconciler {
     bool any_solved = false;
   };
 
-  std::uint32_t agg_find(std::uint32_t v);
-  void agg_unite(std::uint32_t a, std::uint32_t b);
+  /// Merges `from` into `into` and empties `from`.
+  void absorb(Agg& into, Agg& from);
 
-  void process_root(std::uint32_t rep, bool allow_moves);
+  void process_root(ActionId root, bool allow_moves);
   /// The O(1) greedy placement; false = conditions not met, caller falls
   /// back to a full re-solve.
   bool try_fast_appends(Agg& agg);
-  void full_resolve(Agg& agg, std::uint32_t rep, bool allow_moves);
+  void full_resolve(Agg& agg, ActionId root, bool allow_moves);
   void push_head(std::uint32_t sid);
   void commit_walk(bool finishing);
   void commit_at(std::uint32_t sid, std::size_t pos, std::uint64_t now);
@@ -205,7 +205,6 @@ class StreamReconciler {
   CaptureSink* capture_;
   IncrementalConstraintGraph graph_;
   std::uint64_t digest0_;
-  WheelTimer wheel_;
   std::uint64_t epoch_ = 0;
   bool finished_ = false;
 
@@ -222,8 +221,8 @@ class StreamReconciler {
   std::vector<std::uint64_t> placed_epoch_;
 
   std::vector<Strand> strands_;
-  std::vector<std::uint32_t> agg_parent_;  ///< daemon-side union-find
-  std::vector<Agg> aggs_;                  ///< valid at agg roots
+  std::vector<Agg> aggs_;  ///< per action, valid at graph component roots
+  std::vector<ActionId> merged_roots_;  ///< add_action scratch
 
   /// Lazy min-heap over strand heads: (priority of next committable entry,
   /// strand id). Stale entries are dropped on inspection.
@@ -245,7 +244,7 @@ class StreamDaemon {
   static constexpr std::size_t kRingSlots = 1 << 14;
 
   /// `max_batch` caps how many arrivals one epoch ingests (the "batch" the
-  /// wheel-timer budget covers).
+  /// epoch budget covers).
   StreamDaemon(Universe initial, StreamOptions options,
                std::size_t max_batch = 256);
   ~StreamDaemon();

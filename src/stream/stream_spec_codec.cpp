@@ -1,7 +1,5 @@
 #include "stream/stream_spec_codec.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -16,50 +14,13 @@ namespace {
 constexpr std::string_view kSpecMagic = "stream-spec";
 constexpr int kSpecVersion = 1;
 
-std::string fmt_double(double v) {
-  char buf[64];
-  // 17 significant digits round-trip any double exactly.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void put(std::string& out, std::string_view key, const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start < line.size()) {
-    const std::size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      tokens.push_back(line.substr(start));
-      break;
-    }
-    if (end > start) tokens.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return tokens;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
 }  // namespace
 
 std::string encode_stream_spec(const StreamSpec& spec) {
+  using serialize_detail::fmt_double;
+  using serialize_detail::put;
   std::string out;
-  out += kSpecMagic;
-  out += ' ';
-  out += std::to_string(kSpecVersion);
-  out += '\n';
+  serialize_detail::put_spec_header(out, kSpecMagic, kSpecVersion);
   const workload::FagesSpec& w = spec.workload;
   put(out, "replicas", std::to_string(w.replicas));
   put(out, "tasks", std::to_string(w.tasks_per_replica));
@@ -79,128 +40,70 @@ std::string encode_stream_spec(const StreamSpec& spec) {
 }
 
 StreamSpecDecode decode_stream_spec(const std::string& text) {
-  using serialize_detail::parse_number;
   StreamSpecDecode out;
-  if (text.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
+  const serialize_detail::SpecLines spec_lines =
+      serialize_detail::split_spec(text, kSpecMagic, kSpecVersion);
+  if (!spec_lines.ok()) {
+    out.error = spec_lines.error;
     return out;
   }
-
-  std::vector<std::string_view> lines;
-  std::string_view rest = text;
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    lines.push_back(rest.substr(0, nl));
-    if (nl == std::string_view::npos) break;
-    rest.remove_prefix(nl + 1);
-  }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  if (lines.empty()) {
-    out.error = {DecodeErrorKind::kEmptyInput, 0, {}};
-    return out;
-  }
-
-  const std::vector<std::string_view> head = split(lines.front());
-  if (head.size() != 2 || head[0] != kSpecMagic) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(lines.front())};
-    return out;
-  }
-  const auto version = parse_number<int>(head[1]);
-  if (!version) {
-    out.error = {DecodeErrorKind::kBadHeader, 1, std::string(head[1])};
-    return out;
-  }
-  if (*version < 1 || *version > kSpecVersion) {
-    out.error = {DecodeErrorKind::kUnsupportedVersion, 1,
-                 "spec version " + std::to_string(*version)};
-    return out;
-  }
+  const std::vector<std::string_view>& lines = spec_lines.lines;
 
   StreamSpec& spec = out.spec;
   workload::FagesSpec& w = spec.workload;
   for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::size_t line_no = i + 1;
-    const std::vector<std::string_view> tokens = split(lines[i]);
-    if (tokens.empty()) continue;
-    const std::string_view key = tokens.front();
-
-    const auto want = [&](std::size_t n) {
-      if (tokens.size() == n + 1) return true;
-      out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                   std::string(lines[i])};
-      return false;
-    };
-    const auto num = [&](std::string_view token, auto& field) {
-      using T = std::remove_reference_t<decltype(field)>;
-      const auto v = parse_number<T>(token);
-      if (!v) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      field = *v;
-      return true;
-    };
-    const auto dbl = [&](std::string_view token, double& field) {
-      if (!parse_double(token, field)) {
-        out.error = {DecodeErrorKind::kBadNumber, line_no,
-                     std::string(token)};
-        return false;
-      }
-      return true;
-    };
+    serialize_detail::SpecLine in(lines[i], i + 1, out.error);
+    if (in.tokens.empty()) continue;
+    const std::string_view key = in.tokens.front();
 
     bool handled = true;
     if (key == "replicas") {
-      handled = want(1) && num(tokens[1], w.replicas);
+      handled = in.want(1) && in.num(1, w.replicas);
     } else if (key == "tasks") {
-      handled = want(1) && num(tokens[1], w.tasks_per_replica);
+      handled = in.want(1) && in.num(1, w.tasks_per_replica);
     } else if (key == "density") {
-      handled = want(1) && dbl(tokens[1], w.dependency_density);
+      handled = in.want(1) && in.dbl(1, w.dependency_density);
     } else if (key == "conflict") {
-      handled = want(1) && dbl(tokens[1], w.conflict_ratio);
+      handled = in.want(1) && in.dbl(1, w.conflict_ratio);
     } else if (key == "resources") {
-      handled = want(1) && num(tokens[1], w.shared_resources);
+      handled = in.want(1) && in.num(1, w.shared_resources);
     } else if (key == "capacity") {
-      handled = want(1) && num(tokens[1], w.resource_capacity);
+      handled = in.want(1) && in.num(1, w.resource_capacity);
     } else if (key == "seed") {
-      handled = want(1) && num(tokens[1], w.seed);
+      handled = in.want(1) && in.num(1, w.seed);
     } else if (key == "backend") {
-      if (!want(1)) {
+      if (!in.want(1)) {
         handled = false;
-      } else if (tokens[1] == "greedy") {
+      } else if (in.tokens[1] == "greedy") {
         spec.backend = SolverKind::kGreedy;
-      } else if (tokens[1] == "ls") {
+      } else if (in.tokens[1] == "ls") {
         spec.backend = SolverKind::kLocalSearch;
       } else {
-        out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                     std::string(tokens[1])};
-        handled = false;
+        handled = in.fail(DecodeErrorKind::kBadSyntax,
+                          std::string(in.tokens[1]));
       }
     } else if (key == "arrival") {
-      if (!want(1)) {
+      if (!in.want(1)) {
         handled = false;
-      } else if (tokens[1] == "flatten") {
+      } else if (in.tokens[1] == "flatten") {
         spec.arrival = StreamArrival::kFlatten;
-      } else if (tokens[1] == "roundrobin") {
+      } else if (in.tokens[1] == "roundrobin") {
         spec.arrival = StreamArrival::kRoundRobin;
-      } else if (tokens[1] == "shuffled") {
+      } else if (in.tokens[1] == "shuffled") {
         spec.arrival = StreamArrival::kShuffled;
       } else {
-        out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                     std::string(tokens[1])};
-        handled = false;
+        handled = in.fail(DecodeErrorKind::kBadSyntax,
+                          std::string(in.tokens[1]));
       }
     } else if (key == "arrival-seed") {
-      handled = want(1) && num(tokens[1], spec.arrival_seed);
+      handled = in.want(1) && in.num(1, spec.arrival_seed);
     } else if (key == "batch") {
-      handled = want(1) && num(tokens[1], spec.batch);
+      handled = in.want(1) && in.num(1, spec.batch);
     } else if (key == "quiescence") {
-      handled = want(1) && num(tokens[1], spec.commit_quiescence);
+      handled = in.want(1) && in.num(1, spec.commit_quiescence);
     } else {
-      out.error = {DecodeErrorKind::kBadSyntax, line_no,
-                   std::string(lines[i])};
-      handled = false;
+      handled =
+          in.fail(DecodeErrorKind::kBadSyntax, std::string(in.line()));
     }
     if (!handled) return out;
   }

@@ -80,8 +80,10 @@ class SpscRing {
   template <typename OutputIt>
   std::size_t pop_batch(OutputIt out_first, std::size_t max) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail =
-        (tail_.load(std::memory_order_acquire) - head) & kMask;
+    // Refresh the cached tail too: a stale cache behind the new head would
+    // make a later try_pop read slots the producer has not published.
+    tail_cache_ = tail_.load(std::memory_order_acquire);
+    std::size_t avail = (tail_cache_ - head) & kMask;
     if (avail > max) avail = max;
     for (std::size_t i = 0; i < avail; ++i) {
       *out_first++ = std::move(slots_[(head + i) & kMask]);

@@ -10,6 +10,8 @@
 #include <set>
 #include <vector>
 
+#include "core/constraint_builder.hpp"
+#include "core/incremental.hpp"
 #include "core/reconciler.hpp"
 #include "objects/counter.hpp"
 #include "solver/graph.hpp"
@@ -229,7 +231,8 @@ TEST(SolverOracle, IncrementalCostEqualsFullReplayOn500Moves) {
   const std::vector<ActionRecord> records = flatten(g.logs);
   Universe initial = g.initial;
   initial.set_copy_mode(Universe::CopyMode::kCopyOnWrite);
-  const SolverGraph graph = build_solver_graph(initial, records, nullptr);
+  const SolverGraph graph =
+      IncrementalConstraintGraph::build(initial, records).take_graph();
 
   LocalSearchOptions opts;
   opts.seed = 1234;
@@ -263,7 +266,8 @@ TEST(SolverOracle, OracleHoldsOnContestedCounterWorkload) {
   const std::vector<ActionRecord> records = flatten(g.logs);
   Universe initial = g.initial;
   initial.set_copy_mode(Universe::CopyMode::kCopyOnWrite);
-  const SolverGraph graph = build_solver_graph(initial, records, nullptr);
+  const SolverGraph graph =
+      IncrementalConstraintGraph::build(initial, records).take_graph();
 
   LocalSearchOptions opts;
   opts.seed = 99;
@@ -294,6 +298,49 @@ TEST(SolverGraphTest, EdgesMatchDenseRelationsOnFages) {
           dense_succs.insert(static_cast<std::uint32_t>(b));
         });
     EXPECT_EQ(sparse_succs, dense_succs) << "action " << a;
+  }
+}
+
+/// A decrement whose target list names its counter twice: nothing requires
+/// target lists to be duplicate-free.
+class RepeatedTargetDecrement final : public SimpleAction {
+ public:
+  explicit RepeatedTargetDecrement(ObjectId counter)
+      : SimpleAction(Tag("decrement", {1}), {counter, counter}),
+        counter_(counter) {}
+  [[nodiscard]] bool precondition(const Universe&) const override {
+    return true;
+  }
+  bool execute(Universe& u) const override {
+    return u.as<Counter>(counter_).apply(-1);
+  }
+
+ private:
+  ObjectId counter_;
+};
+
+TEST(SolverGraphTest, RepeatedTargetNeverPairsAnActionWithItself) {
+  Universe initial;
+  const ObjectId c = initial.add(std::make_unique<Counter>(1));
+  Log a("a");
+  a.append(std::make_shared<RepeatedTargetDecrement>(c));
+  a.append(std::make_shared<IncrementAction>(c, 2));
+  Log b("b");
+  b.append(std::make_shared<RepeatedTargetDecrement>(c));
+  const std::vector<Log> logs{a, b};
+  Reconciler dense(initial, logs, solver_options(SolverKind::kDfs));
+  Reconciler sparse(initial, logs, solver_options(SolverKind::kGreedy));
+  const SolverGraph& graph = sparse.solver_graph();
+  const std::vector<Bitset> overlap = build_target_overlap(dense.records());
+  for (std::size_t x = 0; x < graph.n; ++x) {
+    std::vector<ActionId> dense_succs;
+    dense.relations().raw_successors(ActionId(x)).for_each(
+        [&](std::size_t y) { dense_succs.push_back(ActionId(y)); });
+    std::vector<ActionId> dense_overlap;
+    overlap[x].for_each(
+        [&](std::size_t y) { dense_overlap.push_back(ActionId(y)); });
+    EXPECT_EQ(graph.succs[x], dense_succs) << "action " << x;
+    EXPECT_EQ(graph.overlap_lists[x], dense_overlap) << "action " << x;
   }
 }
 

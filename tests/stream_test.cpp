@@ -6,7 +6,7 @@
 // merged schedule, statuses and final state. Plus the commit discipline
 // (greedy + replica-at-a-time arrival never violates a commitment), the
 // incremental constraint graph's element-for-element equality with the
-// batch builder, the threaded daemon, and streaming-capture replay.
+// dense oracle, the threaded daemon, and streaming-capture replay.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -18,7 +18,9 @@
 #include "capture/capture_sink.hpp"
 #include "capture/replay_engine.hpp"
 #include "capture/wire_log_format.hpp"
+#include "core/constraint_builder.hpp"
 #include "core/reconciler.hpp"
+#include "core/relations.hpp"
 #include "solver/components.hpp"
 #include "solver/graph.hpp"
 #include "solver/local_search.hpp"
@@ -149,9 +151,11 @@ struct CoreRun {
 };
 
 CoreRun run_core(const Generated& gen, const std::vector<Arrival>& arrivals,
-                 SolverKind backend, std::size_t batch) {
+                 SolverKind backend, std::size_t batch,
+                 std::uint64_t epoch_budget_us = 0) {
   StreamOptions options;
   options.backend = backend;
+  options.epoch_budget_us = epoch_budget_us;
   StreamReconciler core(gen.initial, options);
   std::size_t since_epoch = 0;
   for (const Arrival& a : arrivals) {
@@ -226,6 +230,23 @@ TEST(StreamEquivalence, MultipleSeedsAndShapes) {
   }
 }
 
+TEST(StreamEquivalence, BudgetDegradedEpochsStillFinishAsBatch) {
+  // A 1µs epoch budget runs out after an epoch's first component, so the
+  // rest degrade to their greedy construction; finish re-polishes them with
+  // local search, which restores the batch answer.
+  FagesSpec spec;
+  spec.seed = 7;
+  const Generated gen = fages_workload(spec);
+  const CanonicalRun batch = run_batch(gen, SolverKind::kLocalSearch);
+  const CoreRun stream =
+      run_core(gen, make_arrivals(gen, StreamArrival::kShuffled),
+               SolverKind::kLocalSearch, 7, /*epoch_budget_us=*/1);
+  EXPECT_GT(stream.counters.degraded_epochs, 0u);
+  EXPECT_EQ(stream.canon.executed, batch.executed);
+  EXPECT_EQ(stream.canon.not_executed, batch.not_executed);
+  EXPECT_EQ(stream.canon.state_digest, batch.state_digest);
+}
+
 // --- commit discipline ----------------------------------------------------
 
 TEST(StreamCommit, GreedyFlattenNeverViolatesACommitment) {
@@ -293,6 +314,8 @@ TEST(StreamCommit, ViolationsAreCountedNotHidden) {
 // --- incremental constraint graph ----------------------------------------
 
 TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
+  // The oracle is the dense all-pairs builder over the same record sequence
+  // (ids in arrival order): its raw D edges and the §6 target overlap.
   FagesSpec spec;
   spec.seed = 21;
   const Generated gen = fages_workload(spec);
@@ -308,23 +331,73 @@ TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
       incremental.add_action(a.action, a.log, pos);
       records.push_back({a.action, a.log, pos});
     }
-    ConstraintBuildStats batch_stats;
-    const SolverGraph batch =
-        build_solver_graph(gen.initial, records, &batch_stats);
+    const Relations dense = Relations::from_constraints(
+        build_constraints_dense(gen.initial, records));
+    const std::vector<Bitset> overlap = build_target_overlap(records);
     const SolverGraph& inc = incremental.graph();
-    ASSERT_EQ(inc.n, batch.n);
-    for (std::size_t i = 0; i < batch.n; ++i) {
-      EXPECT_EQ(inc.preds[i], batch.preds[i]) << "preds of " << i;
-      EXPECT_EQ(inc.succs[i], batch.succs[i]) << "succs of " << i;
-      EXPECT_EQ(inc.overlap_lists[i], batch.overlap_lists[i])
-          << "overlap of " << i;
+    ASSERT_EQ(inc.n, records.size());
+    std::vector<std::vector<ActionId>> preds(inc.n);
+    std::vector<std::vector<ActionId>> succs(inc.n);
+    std::vector<std::vector<ActionId>> overlaps(inc.n);
+    std::uint64_t pairs = 0;
+    std::uint64_t directions = 0;
+    for (std::size_t a = 0; a < inc.n; ++a) {
+      dense.raw_successors(ActionId(a)).for_each([&](std::size_t b) {
+        succs[a].push_back(ActionId(b));
+        preds[b].push_back(ActionId(a));
+      });
+      overlap[a].for_each([&](std::size_t b) {
+        overlaps[a].push_back(ActionId(b));
+        if (b < a) return;
+        // Each overlapping pair is evaluated once per log-reversing
+        // direction (a same-log pair is safe in its recorded order).
+        ++pairs;
+        directions += (records[a].before_in_log(records[b]) ? 0 : 1) +
+                      (records[b].before_in_log(records[a]) ? 0 : 1);
+      });
     }
-    // Same pair evaluations as the batch builder — the O(overlap) claim.
-    EXPECT_EQ(incremental.build_stats().pairs_evaluated,
-              batch_stats.pairs_evaluated);
-    EXPECT_EQ(incremental.build_stats().target_set_builds,
-              batch_stats.target_set_builds);
+    for (std::size_t i = 0; i < inc.n; ++i) {
+      EXPECT_EQ(inc.preds[i], preds[i]) << "preds of " << i;
+      EXPECT_EQ(inc.succs[i], succs[i]) << "succs of " << i;
+      EXPECT_EQ(inc.overlap_lists[i], overlaps[i]) << "overlap of " << i;
+    }
+    // O(overlap) work: one shared-target set per overlapping pair.
+    EXPECT_EQ(incremental.build_stats().pairs_evaluated, directions);
+    EXPECT_EQ(incremental.build_stats().target_set_builds, pairs);
   }
+}
+
+TEST(IncrementalGraph, ReportsThePreArrivalRootsItJoins) {
+  FagesSpec spec;
+  spec.seed = 9;
+  const Generated gen = fages_workload(spec);
+  IncrementalConstraintGraph graph(gen.initial);
+  std::vector<std::size_t> next(gen.logs.size(), 0);
+  std::vector<ActionId> merged;
+  std::size_t multi_joins = 0;  // arrivals bridging two or more components
+  for (const Arrival& a : make_arrivals(gen, StreamArrival::kShuffled, 5)) {
+    std::vector<ActionId> before;
+    for (std::size_t v = 0; v < graph.size(); ++v) {
+      before.push_back(graph.component_root(ActionId(v)));
+    }
+    const ActionId id =
+        graph.add_action(a.action, a.log, next[a.log.index()]++, &merged);
+    // Distinct roots in order of the smallest partner met in each.
+    std::vector<ActionId> expected;
+    for (ActionId partner : graph.graph().overlap_lists[id.index()]) {
+      const ActionId root = before[partner.index()];
+      if (std::find(expected.begin(), expected.end(), root) ==
+          expected.end()) {
+        expected.push_back(root);
+      }
+    }
+    EXPECT_EQ(merged, expected) << "arrival " << id.value();
+    for (ActionId root : merged) {
+      EXPECT_EQ(graph.component_root(root), graph.component_root(id));
+    }
+    multi_joins += merged.size() >= 2 ? 1 : 0;
+  }
+  EXPECT_GT(multi_joins, 0u);
 }
 
 TEST(IncrementalGraph, DirtyRootsCoverExactlyTheTouchedComponents) {

@@ -1,10 +1,8 @@
 // The streaming daemon's infrastructure pieces in isolation: the SPSC ring
 // (including a two-thread stress pass that gives TSan a real interleaving
-// to check), the bump-pointer arena, and the timing wheel.
+// to check) and the commit-latency histogram.
 #include <cstdint>
 #include <memory>
-#include <numeric>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -12,9 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "stream/daemon.hpp"
-#include "util/arena.hpp"
 #include "util/spsc_ring.hpp"
-#include "util/wheel_timer.hpp"
 
 namespace icecube {
 namespace {
@@ -117,139 +113,6 @@ TEST(SpscRing, TwoThreadStressOneMillion) {
   EXPECT_EQ(checksum, kCount * (kCount - 1) / 2);
 }
 
-// --- arena ----------------------------------------------------------------
-
-TEST(Arena, AlignedAllocationAcrossChunkBoundaries) {
-  Arena arena(/*chunk_bytes=*/128);
-  for (int i = 0; i < 100; ++i) {
-    void* p8 = arena.allocate(24, 8);
-    void* p64 = arena.allocate(40, 64);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8) % 8, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p64) % 64, 0u);
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);
-}
-
-TEST(Arena, OversizedRequestGetsItsOwnChunk) {
-  Arena arena(/*chunk_bytes=*/64);
-  void* big = arena.allocate(4096, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 4096u);
-}
-
-struct CountedDtor {
-  explicit CountedDtor(int* counter) : counter_(counter) {}
-  ~CountedDtor() { ++*counter_; }
-  int* counter_;
-  char payload[24] = {};
-};
-
-TEST(Arena, ResetRunsDestructorsAndReusesMemory) {
-  int destroyed = 0;
-  Arena arena(/*chunk_bytes=*/256);
-  for (int i = 0; i < 32; ++i) (void)arena.make<CountedDtor>(&destroyed);
-  const std::size_t reserved = arena.bytes_reserved();
-  const std::size_t chunks = arena.chunk_count();
-  arena.reset();
-  EXPECT_EQ(destroyed, 32);
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Steady state: the refill allocates no new chunks.
-  for (int i = 0; i < 32; ++i) (void)arena.make<CountedDtor>(&destroyed);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_EQ(arena.chunk_count(), chunks);
-}
-
-TEST(Arena, TrivialTypesSkipFinalizers) {
-  Arena arena;
-  int* n = arena.make<int>(7);
-  EXPECT_EQ(*n, 7);
-  arena.reset();  // must not touch *n's (nonexistent) destructor
-}
-
-TEST(Arena, DestructorRunsFinalizersOnScopeExit) {
-  int destroyed = 0;
-  {
-    Arena arena;
-    (void)arena.make<CountedDtor>(&destroyed);
-    (void)arena.make<CountedDtor>(&destroyed);
-  }
-  EXPECT_EQ(destroyed, 2);
-}
-
-// --- timing wheel ---------------------------------------------------------
-
-std::vector<WheelTimer::TimerId> fired_ids(WheelTimer& wheel,
-                                           std::uint64_t to_tick) {
-  std::vector<WheelTimer::TimerId> ids;
-  wheel.advance(to_tick,
-                [&ids](WheelTimer::TimerId id, std::uint64_t) {
-                  ids.push_back(id);
-                });
-  return ids;
-}
-
-TEST(WheelTimer, FiresAtDeadlineNotBefore) {
-  WheelTimer wheel(100);
-  const auto id = wheel.schedule(110);
-  EXPECT_TRUE(fired_ids(wheel, 109).empty());
-  const auto fired = fired_ids(wheel, 110);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], id);
-  EXPECT_EQ(wheel.armed(), 0u);
-}
-
-TEST(WheelTimer, PastDeadlineFiresOnNextAdvance) {
-  WheelTimer wheel(50);
-  (void)wheel.schedule(10);  // already in the past
-  EXPECT_EQ(fired_ids(wheel, 51).size(), 1u);
-}
-
-TEST(WheelTimer, CancelSuppressesFiring) {
-  WheelTimer wheel;
-  const auto a = wheel.schedule(5);
-  const auto b = wheel.schedule(5);
-  wheel.cancel(a);
-  const auto fired = fired_ids(wheel, 10);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], b);
-}
-
-TEST(WheelTimer, OverflowBeyondOneRevolutionStillFires) {
-  WheelTimer wheel(0, /*slots=*/16);
-  const auto far = wheel.schedule(1000);   // 62 revolutions out
-  const auto near = wheel.schedule(3);
-  auto fired = fired_ids(wheel, 500);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], near);
-  fired = fired_ids(wheel, 2000);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], far);
-}
-
-TEST(WheelTimer, SameSlotDifferentRevolutionsDoNotCollide) {
-  WheelTimer wheel(0, /*slots=*/16);
-  const auto late = wheel.schedule(4 + 16);  // same slot as `early`
-  const auto early = wheel.schedule(4);
-  auto fired = fired_ids(wheel, 4);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], early);
-  fired = fired_ids(wheel, 20);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], late);
-}
-
-TEST(WheelTimer, IdleGapFastForwardsWithoutSpinning) {
-  WheelTimer wheel;
-  // A multi-billion-tick jump with nothing armed must return immediately
-  // (the advance loop short-circuits); this test hangs if it does not.
-  EXPECT_EQ(fired_ids(wheel, 10'000'000'000ULL).size(), 0u);
-  EXPECT_EQ(wheel.now(), 10'000'000'000ULL);
-  const auto id = wheel.schedule(10'000'000'005ULL);
-  const auto fired = fired_ids(wheel, 10'000'000'010ULL);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], id);
-}
-
 // --- latency histogram ----------------------------------------------------
 
 TEST(LatencyHistogram, QuantilesBracketTheSamples) {
@@ -265,6 +128,23 @@ TEST(LatencyHistogram, QuantilesBracketTheSamples) {
   EXPECT_GT(p99, 0.5);
   EXPECT_LT(p99, 3.0);
   EXPECT_LE(p50, p99);
+}
+
+TEST(LatencyHistogram, InterpolatesByRankWithinOneBucket) {
+  LatencyHistogram hist;
+  // Every sample lands in the bucket [2^20, 2^21) ns.
+  for (std::uint64_t ns = 1'100'000; ns < 2'000'000; ns += 1'000) {
+    hist.record(ns);
+  }
+  const double lo_ms = 1048576 / 1e6;
+  const double hi_ms = 2097152 / 1e6;
+  const double p10 = hist.quantile_ms(0.10);
+  const double p50 = hist.quantile_ms(0.50);
+  const double p90 = hist.quantile_ms(0.90);
+  EXPECT_LT(p10, p50);
+  EXPECT_LT(p50, p90);
+  EXPECT_GE(p10, lo_ms);
+  EXPECT_LT(p90, hi_ms);
 }
 
 TEST(LatencyHistogram, EmptyHistogramReportsZero) {

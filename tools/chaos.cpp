@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "arg_parse.hpp"
 #include "capture/audit_diff.hpp"
 #include "capture/replay_engine.hpp"
 #include "capture/wire_log_writer.hpp"
@@ -47,6 +48,7 @@
 namespace {
 
 using namespace icecube;
+using namespace icecube::tools;
 
 void usage(const char* argv0) {
   std::printf(
@@ -94,24 +96,8 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0' && end != s;
-}
-
-bool parse_size(const char* s, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v)) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
-}
-
 bool parse_prob(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != nullptr && *end == '\0' && end != s && out >= 0.0 &&
-         out <= 1.0;
+  return parse_double(s, out) && out >= 0.0 && out <= 1.0;
 }
 
 void write_json_file(const std::string& path, const std::string& json) {

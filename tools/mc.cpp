@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "arg_parse.hpp"
 #include "capture/replay_engine.hpp"
 #include "mc/explorer.hpp"
 #include "mc/minimize.hpp"
@@ -38,6 +39,7 @@
 namespace {
 
 using namespace icecube;
+using namespace icecube::tools;
 
 void usage(const char* argv0) {
   std::printf(
@@ -65,19 +67,6 @@ void usage(const char* argv0) {
       "                     for this config and exit\n"
       "  --json PATH        write the exploration report as JSON\n",
       argv0);
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0' && end != s;
-}
-
-bool parse_size(const char* s, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v)) return false;
-  out = static_cast<std::size_t>(v);
-  return true;
 }
 
 bool parse_mutant(const char* s, ProtocolMutant& out) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "arg_parse.hpp"
 #include "capture/replay_engine.hpp"
 #include "capture/wire_log_writer.hpp"
 #include "stream/daemon.hpp"
@@ -43,6 +44,7 @@
 namespace {
 
 using namespace icecube;
+using namespace icecube::tools;
 
 void usage(const char* argv0) {
   std::printf(
@@ -72,18 +74,6 @@ void usage(const char* argv0) {
       "  --replay-capture F  re-drive the run recorded in capture F and\n"
       "                    verify it frame-for-frame + trace-CRC\n",
       argv0);
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0' && end != s;
-}
-
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != nullptr && *end == '\0' && end != s;
 }
 
 void write_json_file(const std::string& path, const std::string& json) {
