@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "objects/counter.hpp"
 #include "objects/rw_register.hpp"
@@ -45,6 +46,13 @@ struct RegisterOrderCase {
   LogRelation rel;
   Constraint expected;
 };
+
+// Names each case by its action pair (e.g. `read_write`). Without this gtest
+// prints the struct's raw bytes, pointers included, and the test names
+// change from run to run.
+void PrintTo(const RegisterOrderCase& c, std::ostream* os) {
+  *os << c.a << '_' << c.b;
+}
 
 class RegisterOrderTest
     : public ::testing::TestWithParam<RegisterOrderCase> {};
@@ -125,6 +133,10 @@ struct CounterOrderCase {
   LogRelation rel;
   Constraint expected;
 };
+
+void PrintTo(const CounterOrderCase& c, std::ostream* os) {
+  *os << c.a << '_' << c.b;
+}
 
 class CounterOrderTest : public ::testing::TestWithParam<CounterOrderCase> {};
 
