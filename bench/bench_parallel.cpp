@@ -5,7 +5,7 @@
 // whose dependence graph has C *independent* 2-cycles — each cycle is a
 // pair of mutually-unsafe cross-log actions — so the proper-cutset
 // enumeration yields 2^C minimal hitting sets (capped at
-// ReconcilerOptions::max_cutsets). Each cutset's sub-search then interleaves
+// kMaxCutsets). Each cutset's sub-search then interleaves
 // two order-preserved chains of F "free" actions, giving C(2F, F) complete
 // schedules per cutset: enough uniform work per cutset for the per-cutset
 // fan-out to show.

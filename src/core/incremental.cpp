@@ -240,7 +240,7 @@ IncrementalReconciler::IncrementalReconciler(Universe initial,
   }
 
   CutsetAnalysis cuts =
-      find_proper_cutsets(relations_, options_.max_cycles, options_.max_cutsets);
+      find_proper_cutsets(relations_, kMaxCycles, kMaxCutsets);
   stats_.cutsets_truncated = cuts.truncated;
   policy_->select_cutsets(cuts.cutsets);
   stats_.cutset_count = cuts.cutsets.size();

@@ -128,6 +128,14 @@ struct SearchLimits {
   double max_seconds = 0.0;
 };
 
+/// kAuto: cutset sub-problems with at most this many schedulable actions go
+/// to DFS, larger ones to local search.
+inline constexpr std::size_t kAutoDfsMaxActions = 32;
+/// Caps Reconciler and IncrementalReconciler put on the cycle/cutset
+/// analysis (find_proper_cutsets).
+inline constexpr std::size_t kMaxCycles = 10000;
+inline constexpr std::size_t kMaxCutsets = 64;
+
 /// Top-level reconciler configuration.
 struct ReconcilerOptions {
   Heuristic heuristic = Heuristic::kSafe;
@@ -138,13 +146,10 @@ struct ReconcilerOptions {
   /// Which solver backend runs each cutset sub-problem (DESIGN.md §13).
   /// kDfs preserves the historical engine bit-for-bit; kGreedy and
   /// kLocalSearch scale to logs the DFS cannot finish; kAuto keeps DFS as
-  /// the optimality oracle on cutsets no larger than `auto_dfs_max_actions`
+  /// the optimality oracle on cutsets no larger than kAutoDfsMaxActions
   /// and hands the rest to local search.
   SolverKind backend = SolverKind::kDfs;
   LocalSearchOptions local_search;
-  /// kAuto: sub-problems with at most this many schedulable actions go to
-  /// DFS, larger ones to local search.
-  std::size_t auto_dfs_max_actions = 32;
   /// Above this action count the greedy/local-search backends skip the
   /// dense constraint matrix, transitive closure and cutset analysis
   /// entirely and build a sparse constraint graph instead (the dense
@@ -195,10 +200,6 @@ struct ReconcilerOptions {
   /// dense constraint builder, as the reference the equivalence tests and
   /// `bench_state` measure the COW path against.
   bool eager_state_copies = false;
-
-  /// Caps for the cycle/cutset analysis.
-  std::size_t max_cycles = 10000;
-  std::size_t max_cutsets = 64;
 
   /// H=Strict picks "one action in C arbitrarily"; with 0 the first
   /// candidate (deterministic) is taken, otherwise a seeded pseudo-random

@@ -82,8 +82,8 @@ ReconcileResult Reconciler::run() {
     ctx.graph = &graph_;
     ctx.components = &components_;
   } else {
-    CutsetAnalysis cuts = find_proper_cutsets(relations_, options_.max_cycles,
-                                              options_.max_cutsets);
+    CutsetAnalysis cuts =
+        find_proper_cutsets(relations_, kMaxCycles, kMaxCutsets);
     result.stats.cutsets_truncated = cuts.truncated;
     policy_->select_cutsets(cuts.cutsets);
     cutsets = std::move(cuts.cutsets);

@@ -31,8 +31,8 @@ Simulator::Simulator(const std::vector<ActionRecord>& records,
       stats_(stats),
       clock_(clock),
       deadline_(deadline),
-      overlap_(target_overlap),
-      done_(records.size()) {
+      done_(records.size()),
+      overlap_(target_overlap) {
   if (options.strict_pick_seed != 0) {
     strict_rng_.emplace(options.strict_pick_seed);
   }

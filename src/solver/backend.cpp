@@ -1,5 +1,6 @@
 #include "solver/backend.hpp"
 
+#include "core/incremental.hpp"
 #include "solver/dfs_backend.hpp"
 #include "solver/local_search.hpp"
 
@@ -9,9 +10,9 @@ namespace {
 
 /// DFS where it is affordable, local search where it is not. Runs on the
 /// dense path only (it needs the relations and the cutset analysis): each
-/// proper cutset whose schedulable remainder fits under
-/// `auto_dfs_max_actions` is searched exhaustively — the optimality oracle —
-/// and the rest go to the annealer.
+/// proper cutset whose schedulable remainder fits under kAutoDfsMaxActions
+/// is searched exhaustively — the optimality oracle. Each larger cutset's
+/// remainder goes through the same decomposed solve the ls backend runs.
 class AutoBackend final : public SolverBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "auto"; }
@@ -23,7 +24,7 @@ class AutoBackend final : public SolverBackend {
     std::vector<Cutset> large;
     for (const Cutset& cutset : *ctx.cutsets) {
       const std::size_t schedulable = n - cutset.size();
-      if (schedulable <= ctx.options->auto_dfs_max_actions) {
+      if (schedulable <= kAutoDfsMaxActions) {
         small.push_back(cutset);
       } else {
         large.push_back(cutset);
@@ -35,12 +36,44 @@ class AutoBackend final : public SolverBackend {
       DfsBackend dfs;
       dfs.solve(sub, selection, stats);
     }
-    if (!large.empty()) {
-      SolveContext sub = ctx;
-      sub.cutsets = &large;
-      LocalSearchBackend annealer;
-      annealer.solve(sub, selection, stats);
+    for (const Cutset& cutset : large) {
+      const bool keep_going = solve_large(ctx, cutset, selection, stats);
+      if (!keep_going || ctx.deadline->expired()) break;
     }
+  }
+
+ private:
+  /// The records outside `cutset` keep their log and position, so their
+  /// stream priorities — and with them the component order and seeds — are
+  /// those of the whole problem. Returns the policy's keep-going verdict.
+  static bool solve_large(const SolveContext& ctx, const Cutset& cutset,
+                          Selection& selection, SearchStats& stats) {
+    const std::vector<ActionRecord>& records = *ctx.records;
+    std::vector<ActionRecord> kept;
+    std::vector<ActionId> kept_ids;  // local id → caller id
+    kept.reserve(records.size() - cutset.size());
+    kept_ids.reserve(records.size() - cutset.size());
+    Bitset cut(records.size());
+    for (ActionId a : cutset.actions) cut.set(a.index());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (cut.test(i)) continue;
+      kept.push_back(records[i]);
+      kept_ids.emplace_back(i);
+    }
+    IncrementalConstraintGraph built =
+        IncrementalConstraintGraph::build(*ctx.initial, kept);
+    const std::vector<std::vector<ActionId>> components = built.components();
+    const SolverGraph graph = built.take_graph();
+
+    SolveContext sub = ctx;
+    sub.records = &kept;
+    sub.graph = &graph;
+    sub.components = &components;
+    Outcome out = solve_decomposed(sub, /*allow_moves=*/true, stats);
+    for (ActionId& id : out.schedule) id = kept_ids[id.index()];
+    for (ActionId& id : out.skipped) id = kept_ids[id.index()];
+    out.cutset = cutset.actions;
+    return offer_outcome(ctx, std::move(out), selection, stats);
   }
 };
 

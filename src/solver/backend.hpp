@@ -13,14 +13,17 @@
 //   kLocalSearch  seeded simulated-annealing/tabu over schedule permutations
 //                 with incremental suffix re-simulation (local_search.hpp)
 //   kAuto         DFS where it is affordable (cutsets no larger than
-//                 ReconcilerOptions::auto_dfs_max_actions — the optimality
-//                 oracle), local search everywhere else
+//                 kAutoDfsMaxActions — the optimality oracle), local search
+//                 on the remainder of every larger cutset
 //
 // The DFS backend consumes the dense Relations and runs one search per
 // proper cutset; the greedy/local-search backends consume the sparse
 // SolverGraph and treat dependence cycles by freezing the cycle members out
 // of the schedule (they land in Outcome::skipped), so they need neither the
-// transitive closure nor the cutset analysis.
+// transitive closure nor the cutset analysis. Every local search runs
+// through one driver, the per-component `solve_decomposed`
+// (local_search.hpp): kAuto builds the sparse graph of a large cutset's
+// remaining actions and hands it to the same solve.
 #pragma once
 
 #include <memory>
@@ -59,8 +62,8 @@ struct SolveContext {
   const std::vector<Cutset>* cutsets = nullptr;
   /// Sparse adjacency graph and its conflict components (priority-sorted,
   /// see IncrementalConstraintGraph::components): required by
-  /// kGreedy/kLocalSearch on the sparse path; kAuto builds a graph for its
-  /// large cutsets on demand.
+  /// kGreedy/kLocalSearch; kAuto ignores them and builds one graph per
+  /// large cutset over the actions outside it.
   const SolverGraph* graph = nullptr;
   const std::vector<std::vector<ActionId>>* components = nullptr;
 

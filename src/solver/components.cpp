@@ -209,7 +209,7 @@ ComponentSolution solve_component(const SubProblem& sub,
   } else {
     LocalSearchOptions ls = options.local_search;
     ls.seed += 0x9e3779b97f4a7c15ULL * sub.min_priority;
-    LocalSearchEngine engine(sub.records, sub.graph, pristine, Bitset(m), ls,
+    LocalSearchEngine engine(sub.records, sub.graph, pristine, ls,
                              &initial_digest);
     const std::uint64_t budget =
         std::min<std::uint64_t>(ls.max_moves, options.limits.max_schedules);

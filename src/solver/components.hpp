@@ -12,8 +12,10 @@
 // it builds the graph (edges are a subset of overlaps — an unsafe pair
 // shares a target — so overlap connectivity is the whole relation).
 //
-// The greedy/local-search backends exploit this by solving each component
-// separately and merging deterministically. Beyond the straight perf win
+// Every local search exploits this by solving each component separately
+// and merging deterministically — the greedy/local-search backends over the
+// whole problem, the auto backend over each large cutset's remainder
+// (solve_decomposed, local_search.hpp). Beyond the straight perf win
 // (per-component walks, no cross-component move proposals that can never
 // change a status), the decomposition is what makes *streaming*
 // reconciliation exact: the daemon re-solves only components touched by new
@@ -78,8 +80,9 @@ struct ComponentSolution {
 };
 
 /// The greedy construction over a sub-problem: min-local-id Kahn order with
-/// cycle members frozen at the tail — exactly LocalSearchEngine's start
-/// configuration, without building an engine. Returns local ids.
+/// cycle members frozen at the tail. LocalSearchEngine starts from it; the
+/// greedy backend and singleton components use it without building an
+/// engine. Returns local ids.
 struct GreedyOrder {
   std::vector<ActionId> sched;
   std::size_t live_end = 0;

@@ -4,10 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <utility>
 
-#include "core/incremental.hpp"
 #include "solver/components.hpp"
 
 namespace icecube {
@@ -36,75 +34,42 @@ std::uint64_t universe_state_digest(const Universe& universe) {
 
 LocalSearchEngine::LocalSearchEngine(const std::vector<ActionRecord>& records,
                                      const SolverGraph& graph,
-                                     const Universe& initial, Bitset excluded,
+                                     const Universe& initial,
                                      const LocalSearchOptions& opts,
                                      const std::uint64_t* initial_digest)
     : records_(records),
       graph_(graph),
       initial_(initial),
       opts_(opts),
-      excluded_(std::move(excluded)),
       rng_(opts.seed),
       temperature_(opts.initial_temperature) {
   const std::size_t n = records_.size();
-  if (excluded_.size() != n) excluded_ = Bitset(n);
-  dropped_ = Bitset(n);
-  frozen_ = Bitset(n);
-  pos_.assign(n, kNoPos);
   tabu_until_.assign(n, 0);
-  targets_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!excluded_.test(i)) targets_[i] = records_[i].action->targets();
+  targets_.reserve(n);
+  for (const ActionRecord& rec : records_) {
+    targets_.push_back(rec.action->targets());
   }
 
-  // Greedy construction: min-id topological order (Kahn) over the raw D
-  // edges among schedulable actions. Cycle members never become ready; they
-  // are frozen at the tail as permanently dropped — the sparse path's
-  // counterpart of cutting them.
-  std::vector<std::size_t> indegree(n, 0);
-  for (std::size_t b = 0; b < n; ++b) {
-    if (excluded_.test(b)) continue;
-    for (ActionId a : graph_.preds[b]) {
-      if (!excluded_.test(a.index())) ++indegree[b];
-    }
-  }
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<>>
-      ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!excluded_.test(i) && indegree[i] == 0) {
-      ready.push(static_cast<std::uint32_t>(i));
-    }
-  }
-  sched_.reserve(n);
-  while (!ready.empty()) {
-    const ActionId id(ready.top());
-    ready.pop();
-    pos_[id.index()] = sched_.size();
-    sched_.push_back(id);
-    for (ActionId s : graph_.succs[id.index()]) {
-      if (!excluded_.test(s.index()) && --indegree[s.index()] == 0) {
-        ready.push(s.value());
-      }
-    }
-  }
-  live_end_ = sched_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (excluded_.test(i) || pos_[i] != kNoPos) continue;
-    frozen_.set(i);
-    dropped_.set(i);
-    pos_[i] = sched_.size();
-    sched_.push_back(ActionId(i));
+  // Greedy construction. Cycle members never become ready in the Kahn
+  // order; they are frozen at the tail as permanently dropped — the sparse
+  // path's counterpart of cutting them.
+  GreedyOrder greedy = greedy_order(graph_);
+  sched_ = std::move(greedy.sched);
+  live_end_ = greedy.live_end;
+  pos_.resize(n);
+  dropped_ = Bitset(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    pos_[sched_[k].index()] = k;
+    if (k >= live_end_) dropped_.set(sched_[k].index());
   }
 
-  const std::size_t m = sched_.size();
-  status_.assign(m, PosStatus::kDropped);
-  dropped_count_ = m;
+  status_.assign(n, PosStatus::kDropped);
+  dropped_count_ = n;
 
   interval_ = opts_.checkpoint_interval != 0
                   ? opts_.checkpoint_interval
-                  : std::clamp<std::size_t>(m / 128, 16, 512);
-  const std::size_t slabs = m == 0 ? 1 : (m - 1) / interval_ + 1;
+                  : std::clamp<std::size_t>(n / 128, 16, 512);
+  const std::size_t slabs = n == 0 ? 1 : (n - 1) / interval_ + 1;
   checkpoints_.resize(slabs);
   digests_.assign(slabs, 0);
 
@@ -118,7 +83,7 @@ LocalSearchEngine::LocalSearchEngine(const std::vector<ActionRecord>& records,
   digests_[0] = digest0;
 
   Undo scratch;
-  resimulate(0, m, scratch);
+  resimulate(0, n, scratch);
 
   best_sched_ = sched_;
   best_dropped_ = dropped_;
@@ -366,12 +331,12 @@ bool LocalSearchEngine::propose_reinsert(Undo& undo) {
   if (j < i) {
     for (ActionId p : graph_.preds[x.index()]) {
       const std::size_t pp = pos_[p.index()];
-      if (pp != kNoPos && pp < i && pp >= j) j = std::max(j, pp + 1);
+      if (pp < i && pp >= j) j = std::max(j, pp + 1);
     }
   } else {
     for (ActionId s : graph_.succs[x.index()]) {
       const std::size_t sp = pos_[s.index()];
-      if (sp != kNoPos && sp > i && sp <= j) j = std::min(j, sp - 1);
+      if (sp > i && sp <= j) j = std::min(j, sp - 1);
     }
   }
   if (j == i) return false;
@@ -408,7 +373,7 @@ bool LocalSearchEngine::propose_rescue(Undo& undo) {
     }
     for (ActionId ov : graph_.overlap_lists[cand.index()]) {
       const std::size_t op = pos_[ov.index()];
-      if (op == kNoPos || op >= k || op < lo) continue;
+      if (op >= k || op < lo) continue;
       if (status_[op] != PosStatus::kExecuted) continue;
       if (j == kNoPos || op < j) j = op;
     }
@@ -418,7 +383,7 @@ bool LocalSearchEngine::propose_rescue(Undo& undo) {
   const ActionId x = sched_[i];
   for (ActionId p : graph_.preds[x.index()]) {
     const std::size_t pp = pos_[p.index()];
-    if (pp != kNoPos && pp < i && pp >= j) j = std::max(j, pp + 1);
+    if (pp < i && pp >= j) j = std::max(j, pp + 1);
   }
   if (j == i) return false;
   return apply_reinsert(i, j, undo);
@@ -533,41 +498,21 @@ double LocalSearchEngine::full_replay_cost() const {
   return cost_of(executed.size(), skipped.size(), 0);
 }
 
-Outcome LocalSearchEngine::best_outcome() const {
-  Outcome out;
-  replay_config(records_, initial_, best_sched_, best_dropped_, out.schedule,
-                out.skipped, out.final_state);
-  out.complete = true;
-  return out;
-}
-
-namespace {
-
-/// The sparse whole-problem path: decompose into conflict components, solve
-/// each independently (canonical seeds, compacted sub-problems), merge
-/// deterministically. This is also what makes the streaming daemon exact —
-/// it re-solves single components with the same code and merges to the same
-/// schedule (see solver/components.hpp).
-void solve_decomposed(const SolveContext& ctx, Selection& selection,
-                      SearchStats& stats, bool allow_moves,
-                      const Cutset& cutset) {
+Outcome solve_decomposed(const SolveContext& ctx, bool allow_moves,
+                         SearchStats& stats) {
   const std::vector<ActionRecord>& records = *ctx.records;
-  const ReconcilerOptions& options = *ctx.options;
-
-  const std::vector<std::vector<ActionId>>& components = *ctx.components;
   const std::uint64_t digest0 = universe_state_digest(*ctx.initial);
 
   Universe working = ctx.initial->snapshot();
   std::vector<ComponentSolution> solved;
-  solved.reserve(components.size());
-  for (const std::vector<ActionId>& members : components) {
+  solved.reserve(ctx.components->size());
+  for (const std::vector<ActionId>& members : *ctx.components) {
     // Past the deadline the remaining components degrade to their greedy
-    // construction — still a complete outcome, like the single-engine walk
-    // stopping mid-run.
+    // construction — still a complete outcome.
     const bool moves_now = allow_moves && !ctx.deadline->expired();
     stats.hit_limit |= allow_moves && !moves_now;
     const SubProblem sub = extract_subproblem(records, *ctx.graph, members);
-    solved.push_back(solve_component(sub, *ctx.initial, working, options,
+    solved.push_back(solve_component(sub, *ctx.initial, working, *ctx.options,
                                      moves_now, digest0, *ctx.deadline,
                                      stats));
   }
@@ -589,96 +534,30 @@ void solve_decomposed(const SolveContext& ctx, Selection& selection,
   }
   out.final_state = std::move(working);
   out.complete = true;
-  out.cutset = cutset.actions;
+  return out;
+}
+
+bool offer_outcome(const SolveContext& ctx, Outcome out, Selection& selection,
+                   SearchStats& stats) {
   out.cost = ctx.policy->cost(out);
-  ctx.policy->on_outcome(out);
+  const bool keep_going = ctx.policy->on_outcome(out);
   if (selection.offer(std::move(out))) {
     stats.time_to_best = ctx.clock->seconds();
     stats.schedules_to_best = stats.schedules_completed;
   }
+  return keep_going;
 }
-
-/// Shared driver for the greedy and local-search backends. The sparse
-/// whole-problem case (one implicit empty cutset over a prebuilt graph)
-/// goes through the component decomposition; the auto path's real cutsets
-/// keep the one-engine-per-cutset loop.
-void solve_with_engine(const SolveContext& ctx, Selection& selection,
-                       SearchStats& stats, bool allow_moves) {
-  const std::vector<ActionRecord>& records = *ctx.records;
-  const ReconcilerOptions& options = *ctx.options;
-  const std::size_t n = records.size();
-
-  const std::vector<Cutset> implicit{Cutset{}};
-  const std::vector<Cutset>& cutsets =
-      ctx.cutsets != nullptr ? *ctx.cutsets : implicit;
-
-  if (ctx.graph != nullptr && cutsets.size() == 1 &&
-      cutsets.front().actions.empty() && n > 0) {
-    solve_decomposed(ctx, selection, stats, allow_moves, cutsets.front());
-    return;
-  }
-
-  SolverGraph derived;
-  const SolverGraph* graph = ctx.graph;
-  if (graph == nullptr) {
-    // Auto path: only the dense structures exist; build the sparse graph
-    // over the same records.
-    derived =
-        IncrementalConstraintGraph::build(*ctx.initial, records).take_graph();
-    graph = &derived;
-  }
-
-  std::size_t cut_index = 0;
-  for (const Cutset& cutset : cutsets) {
-    Bitset excluded(n);
-    for (ActionId a : cutset.actions) excluded.set(a.index());
-    LocalSearchOptions ls = options.local_search;
-    // Per-cutset sub-streams keep multi-cutset runs deterministic without
-    // correlating the walks.
-    ls.seed += 0x9e3779b97f4a7c15ULL * cut_index;
-    ++cut_index;
-    LocalSearchEngine engine(records, *graph, *ctx.initial,
-                             std::move(excluded), ls);
-    if (allow_moves) {
-      const std::uint64_t budget =
-          std::min<std::uint64_t>(ls.max_moves, options.limits.max_schedules);
-      const std::uint64_t steps_left =
-          options.limits.max_steps > stats.sim_steps
-              ? options.limits.max_steps - stats.sim_steps
-              : 0;
-      stats.hit_limit |= engine.run(budget, *ctx.deadline, steps_left);
-    }
-    Outcome out = engine.best_outcome();
-    out.cutset = cutset.actions;
-    out.cost = ctx.policy->cost(out);
-    stats.schedules_completed += engine.evaluations();
-    stats.sim_steps += engine.sim_steps();
-    stats.moves_proposed += engine.proposals();
-    stats.moves_accepted += engine.accepted();
-    stats.state_clones += engine.snapshots_taken();
-    // The policy ranks (and may veto further work after) the final best of
-    // each sub-problem; intermediate walk configurations are internal and
-    // never surfaced. The walk itself always optimises the default
-    // objective -(executed) + 0.25·skipped.
-    const bool keep_going = ctx.policy->on_outcome(out);
-    if (selection.offer(std::move(out))) {
-      stats.time_to_best = ctx.clock->seconds();
-      stats.schedules_to_best = stats.schedules_completed;
-    }
-    if (!keep_going || ctx.deadline->expired()) break;
-  }
-}
-
-}  // namespace
 
 void LocalSearchBackend::solve(const SolveContext& ctx, Selection& selection,
                                SearchStats& stats) {
-  solve_with_engine(ctx, selection, stats, /*allow_moves=*/true);
+  offer_outcome(ctx, solve_decomposed(ctx, /*allow_moves=*/true, stats),
+                selection, stats);
 }
 
 void GreedyBackend::solve(const SolveContext& ctx, Selection& selection,
                           SearchStats& stats) {
-  solve_with_engine(ctx, selection, stats, /*allow_moves=*/false);
+  offer_outcome(ctx, solve_decomposed(ctx, /*allow_moves=*/false, stats),
+                selection, stats);
 }
 
 }  // namespace icecube

@@ -54,16 +54,16 @@ namespace icecube {
 /// incremental cost against a full fresh replay.
 class LocalSearchEngine {
  public:
-  /// `excluded` marks actions left out of this sub-problem (the cutset on
-  /// the auto path; empty bits otherwise). All references must outlive the
-  /// engine. Construction performs the greedy build: a min-id topological
-  /// permutation (Kahn) replayed once with skip-on-failure — so the start
-  /// configuration, and therefore the final result, is never worse than the
-  /// greedy backend's. `initial_digest`, when non-null, must equal
+  /// Every record takes part in the walk; all references must outlive the
+  /// engine. Construction performs the greedy build: `greedy_order` (the
+  /// min-id topological permutation, cycle members frozen at the tail)
+  /// replayed once with skip-on-failure — so the start configuration, and
+  /// therefore the final result, is never worse than the greedy backend's.
+  /// `initial_digest`, when non-null, must equal
   /// `universe_state_digest(initial)` and skips that O(slots) walk.
   LocalSearchEngine(const std::vector<ActionRecord>& records,
                     const SolverGraph& graph, const Universe& initial,
-                    Bitset excluded, const LocalSearchOptions& opts,
+                    const LocalSearchOptions& opts,
                     const std::uint64_t* initial_digest = nullptr);
 
   /// Proposes (and maybe applies) one move. Returns false once the stall
@@ -86,13 +86,8 @@ class LocalSearchEngine {
   /// every move.
   [[nodiscard]] double full_replay_cost() const;
 
-  /// Materialises the incumbent-best configuration as a complete Outcome
-  /// (costed by the caller's policy, not the internal objective).
-  [[nodiscard]] Outcome best_outcome() const;
-
-  /// The incumbent-best configuration itself, for callers that replay it
-  /// externally (the component solver replays against a shared working
-  /// universe instead of a fresh snapshot). Positions >= live_end() are the
+  /// The incumbent-best configuration. The component solver replays it
+  /// against its shared working universe. Positions >= live_end() are the
   /// frozen cycle tail, in ascending id order — moves never touch it.
   [[nodiscard]] const std::vector<ActionId>& best_schedule() const {
     return best_sched_;
@@ -158,13 +153,11 @@ class LocalSearchEngine {
   const SolverGraph& graph_;
   const Universe& initial_;
   LocalSearchOptions opts_;
-  Bitset excluded_;
 
   std::vector<ActionId> sched_;       // topological permutation
-  std::vector<std::size_t> pos_;      // action index → position (npos if out)
+  std::vector<std::size_t> pos_;      // action index → position
   std::vector<PosStatus> status_;     // per position
-  Bitset dropped_;                    // per action: flip-dropped
-  Bitset frozen_;                     // per action: cycle member, never moves
+  Bitset dropped_;                    // per action: flip-dropped or frozen
   std::size_t live_end_ = 0;          // positions < live_end_ are movable
   std::size_t executed_ = 0;
   std::size_t failed_ = 0;
@@ -190,8 +183,23 @@ class LocalSearchEngine {
   double best_cost_ = 0.0;
 };
 
-/// Backend wrapper: one engine per cutset (sparse path: the single implicit
-/// empty cutset), best outcome offered to the selection.
+/// The sparse solve every greedy/local-search path runs: each conflict
+/// component of `ctx.graph` (listed in `ctx.components`) is compacted,
+/// solved by `solve_component` — local search when `allow_moves`, its greedy
+/// construction otherwise — and the parts are merged deterministically (see
+/// solver/components.hpp). Past the deadline the remaining components fall
+/// back to their greedy construction. Returns the complete outcome in ids of
+/// `ctx.records`; its cutset and cost are left to the caller.
+[[nodiscard]] Outcome solve_decomposed(const SolveContext& ctx,
+                                       bool allow_moves, SearchStats& stats);
+
+/// Costs `out` with `ctx.policy`, reports it to the policy and offers it to
+/// `selection`. Returns the policy's keep-going verdict.
+bool offer_outcome(const SolveContext& ctx, Outcome out, Selection& selection,
+                   SearchStats& stats);
+
+/// Backend wrapper: the decomposed solve with moves on, best outcome offered
+/// to the selection.
 class LocalSearchBackend final : public SolverBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "ls"; }
@@ -200,7 +208,7 @@ class LocalSearchBackend final : public SolverBackend {
 };
 
 /// Greedy-repair baseline: exactly the local-search start configuration
-/// (min-id topological order, one replay with skip), zero moves.
+/// (`greedy_order` per component, one replay with skip), zero moves.
 class GreedyBackend final : public SolverBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "greedy"; }

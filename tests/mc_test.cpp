@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -353,6 +354,13 @@ struct MutantCase {
   std::size_t depth;
 };
 
+// Names each case by its mutant (e.g. `merge_epoch_no_bump`). Without this
+// gtest prints the struct's raw bytes, uninitialised padding included, and
+// the test names change from run to run.
+void PrintTo(const MutantCase& c, std::ostream* os) {
+  for (const char ch : to_string(c.mutant)) *os << (ch == '-' ? '_' : ch);
+}
+
 class McMutant : public ::testing::TestWithParam<MutantCase> {};
 
 // Each seeded bug must be found by the checker, survive delta-debugging
@@ -426,14 +434,7 @@ INSTANTIATE_TEST_SUITE_P(
         MutantCase{ProtocolMutant::kMergeEpochNoBump, 2, 2, 2, 8},
         MutantCase{ProtocolMutant::kTransferDropDemoted, 2, 3, 4, 10},
         MutantCase{ProtocolMutant::kRebaseDropDemoted, 2, 3, 1, 10},
-        MutantCase{ProtocolMutant::kStablePrefixRewrite, 2, 3, 1, 10}),
-    [](const ::testing::TestParamInfo<MutantCase>& info) {
-      std::string name{to_string(info.param.mutant)};
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+        MutantCase{ProtocolMutant::kStablePrefixRewrite, 2, 3, 1, 10}));
 
 // --- schedules, witnesses and replay ------------------------------------
 

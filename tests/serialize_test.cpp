@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -268,6 +269,11 @@ struct FactoryCase {
   const char* line;  // malformed action line (4 '|' groups)
 };
 
+// Names each case (e.g. `buy_no_params`). Without this gtest prints the
+// struct's raw bytes, string pointers included, and the test names change
+// from run to run.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
+
 class BuiltinFactoryMalformed : public ::testing::TestWithParam<FactoryCase> {
 };
 
@@ -321,10 +327,7 @@ INSTANTIATE_TEST_SUITE_P(
         FactoryCase{"tdel_two_params", "tdel | 0 | 1 5 |"},
         // Line file: needs a position and two strings.
         FactoryCase{"setline_one_string", "setline | 0 | 7 | old"},
-        FactoryCase{"setline_no_pos", "setline | 0 | | old new"}),
-    [](const ::testing::TestParamInfo<FactoryCase>& info) {
-      return info.param.name;
-    });
+        FactoryCase{"setline_no_pos", "setline | 0 | | old new"}));
 
 TEST(LogCodec, CustomOpsCanBeRegistered) {
   ActionRegistry registry;  // empty: even built-ins are unknown

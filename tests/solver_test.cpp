@@ -47,16 +47,22 @@ Generated small_fages(std::uint64_t seed) {
   return workload::fages_workload(spec);
 }
 
-/// The schedule must be a permutation-with-drops that respects every raw D
-/// edge and replays failure-free (kSkipAction puts failures in `skipped`,
-/// so every action in `schedule` executed).
+/// Schedule, skipped and cutset must partition the actions; the schedule
+/// must respect every raw D edge and replay failure-free from `initial`
+/// (kSkipAction puts failures in `skipped`, so every action in `schedule`
+/// executed).
 void expect_valid(const ReconcileResult& result,
                   const std::vector<ActionRecord>& records,
-                  const SolverGraph& graph) {
+                  const SolverGraph& graph, const Universe& initial) {
   const Outcome& best = result.best();
   EXPECT_TRUE(best.complete);
-  EXPECT_EQ(best.schedule.size() + best.skipped.size() + best.cutset.size(),
-            records.size());
+  std::vector<int> seen(records.size(), 0);
+  for (const auto* part : {&best.schedule, &best.skipped, &best.cutset}) {
+    for (ActionId id : *part) ++seen[id.index()];
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "action " << i;
+  }
   std::vector<std::size_t> pos(records.size(), SIZE_MAX);
   for (std::size_t i = 0; i < best.schedule.size(); ++i) {
     pos[best.schedule[i].index()] = i;
@@ -68,6 +74,12 @@ void expect_valid(const ReconcileResult& result,
       EXPECT_LT(pos[a.index()], pos[b])
           << "D edge " << a.value() << " -> " << b << " violated";
     }
+  }
+  Universe state = initial.snapshot();
+  for (ActionId id : best.schedule) {
+    const Action& action = *records[id.index()].action;
+    EXPECT_TRUE(action.precondition(state) && action.execute(state))
+        << "scheduled action " << id.value() << " fails on replay";
   }
 }
 
@@ -105,7 +117,7 @@ TEST(SolverBackends, DifferentSeedsMayDifferButStayValid) {
     Reconciler r(g.initial, g.logs, opts);
     const ReconcileResult result = r.run();
     ASSERT_TRUE(result.found_any());
-    expect_valid(result, r.records(), r.solver_graph());
+    expect_valid(result, r.records(), r.solver_graph(), g.initial);
   }
 }
 
@@ -117,13 +129,13 @@ TEST(SolverBackends, GreedyIsValidAndLocalSearchNeverWorse) {
     ASSERT_TRUE(gres.found_any());
     EXPECT_EQ(gres.stats.backend, "greedy");
     EXPECT_EQ(gres.stats.moves_proposed, 0u);
-    expect_valid(gres, greedy.records(), greedy.solver_graph());
+    expect_valid(gres, greedy.records(), greedy.solver_graph(), g.initial);
 
     Reconciler ls(g.initial, g.logs,
                   solver_options(SolverKind::kLocalSearch));
     const ReconcileResult lres = ls.run();
     ASSERT_TRUE(lres.found_any());
-    expect_valid(lres, ls.records(), ls.solver_graph());
+    expect_valid(lres, ls.records(), ls.solver_graph(), g.initial);
     // ls starts from the greedy configuration, so it can never end worse.
     EXPECT_LE(lres.best().cost, gres.best().cost + 1e-9);
   }
@@ -205,7 +217,7 @@ TEST(SolverBackends, AutoResolvesByProblemSize) {
 
 TEST(SolverBackends, AutoMatchesDfsOnSmallProblems) {
   // Within dense_graph_limit with one cutset-free sub-problem small enough
-  // for the oracle (<= auto_dfs_max_actions), auto is exactly DFS.
+  // for the oracle (<= kAutoDfsMaxActions), auto is exactly DFS.
   FagesSpec spec;
   spec.replicas = 2;
   spec.tasks_per_replica = 10;
@@ -223,6 +235,55 @@ TEST(SolverBackends, AutoMatchesDfsOnSmallProblems) {
   EXPECT_DOUBLE_EQ(ares.best().cost, dres.best().cost);
 }
 
+TEST(SolverBackends, AutoEqualsLsOnOneLargeCutset) {
+  // An acyclic 60-action problem has one empty proper cutset, too large for
+  // the DFS oracle: auto must solve it exactly as ls does.
+  FagesSpec spec;
+  spec.replicas = 3;
+  spec.tasks_per_replica = 20;
+  spec.dependency_density = 1.2;
+  spec.conflict_ratio = 0.4;
+  spec.shared_resources = 6;
+  spec.seed = 2;
+  const Generated g = workload::fages_workload(spec);
+  Reconciler auto_r(g.initial, g.logs, solver_options(SolverKind::kAuto));
+  const ReconcileResult ares = auto_r.run();
+  Reconciler ls(g.initial, g.logs, solver_options(SolverKind::kLocalSearch));
+  const ReconcileResult lres = ls.run();
+  ASSERT_TRUE(ares.found_any());
+  ASSERT_TRUE(lres.found_any());
+  ASSERT_EQ(ares.cutsets.size(), 1u);
+  ASSERT_TRUE(ares.cutsets.front().empty());
+  ASSERT_GT(auto_r.records().size(), kAutoDfsMaxActions);
+  EXPECT_EQ(ares.stats.backend, "auto");
+  EXPECT_GT(ares.stats.moves_proposed, 0u);
+  EXPECT_EQ(ares.best().schedule, lres.best().schedule);
+  EXPECT_EQ(ares.best().skipped, lres.best().skipped);
+  EXPECT_DOUBLE_EQ(ares.best().cost, lres.best().cost);
+}
+
+TEST(SolverBackends, AutoLargeCutsetsAreValid) {
+  // 42 file-system actions with four one-action proper cutsets: every
+  // cutset leaves more than kAutoDfsMaxActions actions to local search.
+  workload::FsSpec spec;
+  spec.replicas = 3;
+  spec.actions_per_replica = 14;
+  spec.seed = 1;
+  const Generated g = workload::fs_workload(spec);
+  Reconciler r(g.initial, g.logs, solver_options(SolverKind::kAuto));
+  const ReconcileResult result = r.run();
+  ASSERT_TRUE(result.found_any());
+  ASSERT_EQ(r.records().size(), 42u);
+  ASSERT_EQ(result.cutsets.size(), 4u);
+  for (const Cutset& cutset : result.cutsets) {
+    EXPECT_EQ(cutset.size(), 1u);
+  }
+  EXPECT_EQ(result.outcomes.front().cutset.size(), 1u);
+  const SolverGraph graph =
+      IncrementalConstraintGraph::build(g.initial, r.records()).take_graph();
+  expect_valid(result, r.records(), graph, g.initial);
+}
+
 TEST(SolverOracle, IncrementalCostEqualsFullReplayOn500Moves) {
   // The heart of the incremental machinery: after every proposed move —
   // accepted or rejected, across all four move kinds — the maintained cost
@@ -238,8 +299,7 @@ TEST(SolverOracle, IncrementalCostEqualsFullReplayOn500Moves) {
   opts.seed = 1234;
   opts.checkpoint_interval = 8;  // small interval: many boundary crossings
   opts.tabu_tenure = 4;
-  LocalSearchEngine engine(records, graph, initial, Bitset(records.size()),
-                           opts);
+  LocalSearchEngine engine(records, graph, initial, opts);
   ASSERT_DOUBLE_EQ(engine.current_cost(), engine.full_replay_cost());
   for (int move = 0; move < 500; ++move) {
     if (!engine.step()) break;
@@ -272,8 +332,7 @@ TEST(SolverOracle, OracleHoldsOnContestedCounterWorkload) {
   LocalSearchOptions opts;
   opts.seed = 99;
   opts.checkpoint_interval = 4;
-  LocalSearchEngine engine(records, graph, initial, Bitset(records.size()),
-                           opts);
+  LocalSearchEngine engine(records, graph, initial, opts);
   for (int move = 0; move < 300; ++move) {
     if (!engine.step()) break;
     ASSERT_DOUBLE_EQ(engine.current_cost(), engine.full_replay_cost())
