@@ -87,13 +87,12 @@ struct GraphLinter {
 
   void lint(const Universe& universe, const std::vector<ActionRecord>& records,
             const std::vector<Universe>& states) {
-    // Build the matrix through the real engine path, inheriting its work
-    // counters into the analysis stats.
-    ConstraintBuildStats build_stats;
-    ConstraintBuildOptions build_options;
-    build_options.stats = &build_stats;
-    const ConstraintMatrix matrix =
-        build_constraints(universe, records, build_options);
+    // Build the matrix through the engine's one pair pass, inheriting its
+    // work counters into the analysis stats.
+    ConstraintMatrix matrix;
+    const ConstraintBuildStats build_stats =
+        IncrementalConstraintGraph::build(universe, records, &matrix)
+            .build_stats();
     report.stats.pairs_checked += build_stats.pairs_evaluated;
     report.stats.order_calls += build_stats.order_calls;
     report.stats.states_sampled += states.size();

@@ -3,7 +3,7 @@
 //
 // Where the relation auditor (relation_audit.hpp) interrogates `order()`
 // pair by pair, the linter builds the full constraint matrix the engine
-// would build — through the real sparse builder, reusing its work counters
+// would build — through its one pair pass, reusing its work counters
 // — maps it onto the D/I relations, and inspects the graph shape:
 //
 //  D_CYCLE           a dependence cycle: no schedule can contain all of its

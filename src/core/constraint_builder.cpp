@@ -1,12 +1,13 @@
 #include "core/constraint_builder.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <iomanip>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
-#include "util/thread_pool.hpp"
+#include "solver/components.hpp"
 
 namespace icecube {
 
@@ -26,24 +27,10 @@ std::vector<ObjectId> common_targets(const Action& a, const Action& b) {
   return out;
 }
 
-/// Allocation-free variant over pre-fetched target lists, writing into a
-/// caller-owned scratch vector (reused across pairs by the sparse builder).
-void common_targets_into(const std::vector<ObjectId>& ta,
-                         const std::vector<ObjectId>& tb,
-                         std::vector<ObjectId>& out) {
-  out.clear();
-  for (ObjectId x : ta) {
-    if (std::find(tb.begin(), tb.end(), x) != tb.end() &&
-        std::find(out.begin(), out.end(), x) == out.end()) {
-      out.push_back(x);
-    }
-  }
-}
-
 /// Rules 2–3 of §2.3 for the direction "a before b", given the shared-target
 /// set (rule 1 is the caller's: empty `shared` ⇒ safe). The iteration order
 /// of `shared` does not affect the result — `most_constraining` is a
-/// commutative max — so one set serves both directions of a pair.
+/// commutative max — only how many `order()` calls the early stop saves.
 Constraint evaluate_direction(const Universe& universe, const ActionRecord& a,
                               const ActionRecord& b,
                               const std::vector<ObjectId>& shared,
@@ -71,14 +58,6 @@ Constraint evaluate_constraint(const Universe& universe, const ActionRecord& a,
                             common_targets(*a.action, *b.action), order_calls);
 }
 
-Constraint evaluate_constraint_over(const Universe& universe,
-                                    const ActionRecord& a,
-                                    const ActionRecord& b,
-                                    const std::vector<ObjectId>& shared,
-                                    std::uint64_t& order_calls) {
-  return evaluate_direction(universe, a, b, shared, order_calls);
-}
-
 ConstraintMatrix build_constraints_dense(
     const Universe& universe, const std::vector<ActionRecord>& records,
     ConstraintBuildStats* stats) {
@@ -100,128 +79,234 @@ ConstraintMatrix build_constraints_dense(
   return matrix;
 }
 
-ConstraintMatrix build_constraints(const Universe& universe,
-                                   const std::vector<ActionRecord>& records,
-                                   const ConstraintBuildOptions& options) {
-  const std::size_t n = records.size();
-  ConstraintMatrix matrix(n);
+IncrementalConstraintGraph::IncrementalConstraintGraph(
+    const Universe& universe)
+    : universe_(&universe), by_target_(universe.size()) {}
 
-  // Fetch every action's target list once: Action::targets() is a virtual
-  // call returning a fresh vector, far too expensive per pair.
-  std::vector<std::vector<ObjectId>> targets(n);
-  std::size_t max_target = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    targets[i] = records[i].action->targets();
-    for (ObjectId t : targets[i]) {
-      max_target = std::max(max_target, t.index() + 1);
-    }
+IncrementalConstraintGraph IncrementalConstraintGraph::build(
+    const Universe& universe, const std::vector<ActionRecord>& records,
+    ConstraintMatrix* dense) {
+  IncrementalConstraintGraph graph(universe);
+  if (dense != nullptr) *dense = ConstraintMatrix(records.size());
+  graph.dense_ = dense;
+  for (const ActionRecord& rec : records) {
+    graph.add_action(rec.action, rec.log, rec.position);
   }
-
-  // Inverted index: target → actions touching it, in ascending id order.
-  std::vector<std::vector<std::uint32_t>> by_target(max_target);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (ObjectId t : targets[i]) {
-      by_target[t.index()].push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // Unordered pairs sharing at least one target. Every other pair is `safe`
-  // in both directions (§2.3 rule 1) — exactly the matrix default.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  std::vector<std::uint32_t> nbrs;
-  for (std::size_t a = 0; a < n; ++a) {
-    nbrs.clear();
-    for (ObjectId t : targets[a]) {
-      for (std::uint32_t b : by_target[t.index()]) {
-        if (b > a) nbrs.push_back(b);
-      }
-    }
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::uint32_t b : nbrs) {
-      pairs.emplace_back(static_cast<std::uint32_t>(a), b);
-    }
-  }
-
-  // Evaluate each unordered pair once for both directions, sharded across
-  // the pool in contiguous chunks. Chunks write disjoint matrix cells and
-  // pair values are independent, so the result (and the stats totals) are
-  // identical for any shard count.
-  std::atomic<std::uint64_t> order_calls{0};
-  const std::size_t lanes =
-      options.pool != nullptr ? options.pool->size() + 1 : 1;
-  const std::size_t chunk_size =
-      std::max<std::size_t>(1, pairs.size() / (lanes * 8) + 1);
-  const std::size_t chunks = (pairs.size() + chunk_size - 1) / chunk_size;
-
-  parallel_for_each(
-      options.pool, chunks,
-      [&universe, &records, &targets, &pairs, &matrix, &order_calls,
-       chunk_size](std::size_t c) {
-        std::uint64_t local_order_calls = 0;
-        std::vector<ObjectId> shared;  // scratch, reused across the chunk
-        const std::size_t begin = c * chunk_size;
-        const std::size_t end = std::min(begin + chunk_size, pairs.size());
-        for (std::size_t p = begin; p < end; ++p) {
-          const ActionId a(pairs[p].first);
-          const ActionId b(pairs[p].second);
-          common_targets_into(targets[a.index()], targets[b.index()], shared);
-          matrix.set(a, b,
-                     evaluate_direction(universe, records[a.index()],
-                                        records[b.index()], shared,
-                                        local_order_calls));
-          matrix.set(b, a,
-                     evaluate_direction(universe, records[b.index()],
-                                        records[a.index()], shared,
-                                        local_order_calls));
-        }
-        order_calls.fetch_add(local_order_calls, std::memory_order_relaxed);
-      });
-
-  if (options.stats != nullptr) {
-    options.stats->pairs_evaluated = 2 * pairs.size();
-    options.stats->target_set_builds = pairs.size();
-    options.stats->order_calls = order_calls.load(std::memory_order_relaxed);
-  }
-  return matrix;
+  graph.dense_ = nullptr;
+  return graph;
 }
 
-std::vector<Bitset> build_target_overlap(
-    const std::vector<ActionRecord>& records) {
-  const std::size_t n = records.size();
-  std::vector<Bitset> overlap(n, Bitset(n));
+std::uint32_t IncrementalConstraintGraph::find(std::uint32_t v) {
+  while (parent_[v] != v) {
+    parent_[v] = parent_[parent_[v]];  // path halving
+    v = parent_[v];
+  }
+  return v;
+}
 
-  std::vector<std::vector<ObjectId>> targets(n);
-  std::size_t max_target = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    targets[i] = records[i].action->targets();
-    for (ObjectId t : targets[i]) {
-      max_target = std::max(max_target, t.index() + 1);
+void IncrementalConstraintGraph::unite(std::uint32_t a, std::uint32_t b) {
+  a = find(a);
+  b = find(b);
+  if (a == b) return;
+  // Splice the smaller member chain onto the larger — O(1), no copies.
+  if (comp_size_[a] < comp_size_[b]) std::swap(a, b);
+  member_next_[member_tail_[a]] = member_head_[b];
+  member_tail_[a] = member_tail_[b];
+  comp_size_[a] += comp_size_[b];
+  parent_[b] = a;
+  --components_;
+}
+
+const std::vector<ObjectId>& IncrementalConstraintGraph::shared_in_order_of(
+    ActionId other, const std::vector<ObjectId>& shared) {
+  if (shared.size() < 2) return shared;
+  reordered_.clear();
+  for (std::uint32_t k = target_begin_[other.index()];
+       k < target_begin_[other.index() + 1]; ++k) {
+    if (std::find(shared.begin(), shared.end(), target_list_[k]) !=
+        shared.end()) {
+      reordered_.push_back(target_list_[k]);
     }
   }
+  return reordered_;
+}
 
-  std::vector<std::vector<std::uint32_t>> by_target(max_target);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (ObjectId t : targets[i]) {
-      auto& group = by_target[t.index()];
-      // An action listing a target twice must appear in the group once
-      // (overlap is a relation between *distinct* actions).
-      if (group.empty() || group.back() != i) {
-        group.push_back(static_cast<std::uint32_t>(i));
+ActionId IncrementalConstraintGraph::add_action(
+    ActionPtr action, LogId log, std::size_t position,
+    std::vector<ActionId>* merged) {
+  const std::uint32_t id = static_cast<std::uint32_t>(records_.size());
+  records_.push_back(ActionRecord{std::move(action), log, position});
+  const ActionRecord& rb = records_.back();
+
+  graph_.n = records_.size();
+  graph_.preds.emplace_back();
+  graph_.succs.emplace_back();
+  graph_.overlap_lists.emplace_back();
+  parent_.push_back(id);
+  member_head_.push_back(id);
+  member_tail_.push_back(id);
+  member_next_.push_back(kNoMember);
+  comp_size_.push_back(1);
+  paired_stamp_.push_back(0);
+  pair_slot_.push_back(0);
+  ++components_;
+
+  // Phase 1: probe the inverted index. Every known action sharing a target
+  // is one unordered pair (stamp-deduplicated across targets), and the
+  // pair's shared-target set falls out of the probe itself: the second and
+  // later shared objects land on the pair's pool slot instead of forcing a
+  // per-direction quadratic re-scan of both target lists. The new action's
+  // target list — a virtual call returning a fresh vector — is extracted
+  // exactly once per arrival.
+  pair_others_.clear();
+  partner_roots_.clear();
+  for (ObjectId t : rb.action->targets()) {
+    assert(t.index() < by_target_.size() &&
+           "action targets an object unknown to the universe");
+    // A target listed twice was probed and indexed by its first occurrence;
+    // probing again would pair the action with itself.
+    if (!by_target_[t.index()].empty() &&
+        by_target_[t.index()].back().value() == id) {
+      continue;
+    }
+    target_list_.push_back(t);
+    if (merged != nullptr && !by_target_[t.index()].empty()) {
+      // Every action indexed under one target is already in one component,
+      // and the list is in ascending id order: its front is the smallest
+      // partner this target contributes, and its root is pre-arrival (no
+      // union has run yet).
+      const std::uint32_t first = by_target_[t.index()].front().value();
+      partner_roots_.emplace_back(first, find(first));
+    }
+    for (ActionId other : by_target_[t.index()]) {
+      if (paired_stamp_[other.index()] == id + 1) {
+        pair_targets_pool_[pair_slot_[other.index()]].push_back(t);
+        continue;
+      }
+      paired_stamp_[other.index()] = id + 1;
+      const auto slot = static_cast<std::uint32_t>(pair_others_.size());
+      if (slot == pair_targets_pool_.size()) pair_targets_pool_.emplace_back();
+      pair_slot_[other.index()] = slot;
+      pair_targets_pool_[slot].clear();
+      pair_targets_pool_[slot].push_back(t);
+      pair_others_.push_back(other);
+    }
+    by_target_[t.index()].push_back(ActionId(id));
+  }
+  target_begin_.push_back(static_cast<std::uint32_t>(target_list_.size()));
+
+  if (merged != nullptr) {
+    // At most one entry per target, so the sort and the linear dedupe are
+    // cheap.
+    std::sort(partner_roots_.begin(), partner_roots_.end());
+    merged->clear();
+    for (const auto& [partner, root] : partner_roots_) {
+      if (std::find(merged->begin(), merged->end(), ActionId(root)) ==
+          merged->end()) {
+        merged->push_back(ActionId(root));
       }
     }
   }
 
-  for (const auto& group : by_target) {
-    for (std::size_t x = 0; x < group.size(); ++x) {
-      for (std::size_t y = x + 1; y < group.size(); ++y) {
-        if (group[x] == group[y]) continue;
-        overlap[group[x]].set(group[y]);
-        overlap[group[y]].set(group[x]);
+  // Phase 2: evaluate each pair over its shared set. A same-log pair is
+  // safe in its recorded direction (rule 2), so only log-reversing
+  // directions run. Each direction scans the shared targets in its first
+  // action's target order, as `build_constraints_dense` does, so the early
+  // stop at `unsafe` makes the same `order()` calls.
+  for (std::size_t k = 0; k < pair_others_.size(); ++k) {
+    const ActionId other = pair_others_[k];
+    const std::vector<ObjectId>& shared = pair_targets_pool_[k];
+    const ActionRecord& ra = records_[other.index()];
+    // `other` < `id`: the pair's (lo, hi) orientation.
+    graph_.overlap_lists[other.index()].push_back(ActionId(id));
+    graph_.overlap_lists[id].push_back(other);
+    if (!ra.before_in_log(rb)) {
+      ++stats_.pairs_evaluated;
+      const Constraint c =
+          evaluate_direction(*universe_, ra, rb,
+                             shared_in_order_of(other, shared),
+                             stats_.order_calls);
+      if (dense_ != nullptr) dense_->set(other, ActionId(id), c);
+      if (c == Constraint::kUnsafe) {
+        graph_.succs[id].push_back(other);
+        graph_.preds[other.index()].push_back(ActionId(id));
       }
     }
+    if (!rb.before_in_log(ra)) {
+      ++stats_.pairs_evaluated;
+      const Constraint c = evaluate_direction(*universe_, rb, ra, shared,
+                                              stats_.order_calls);
+      if (dense_ != nullptr) dense_->set(ActionId(id), other, c);
+      if (c == Constraint::kUnsafe) {
+        graph_.succs[other.index()].push_back(ActionId(id));
+        graph_.preds[id].push_back(other);
+      }
+    }
+    ++stats_.target_set_builds;
+    unite(id, other.value());
   }
-  return overlap;
+
+  // Existing actions' lists stay sorted (the new id is their maximum); the
+  // new action's lists collected targets in group order, so sort them.
+  std::sort(graph_.preds[id].begin(), graph_.preds[id].end());
+  std::sort(graph_.succs[id].begin(), graph_.succs[id].end());
+  std::sort(graph_.overlap_lists[id].begin(),
+            graph_.overlap_lists[id].end());
+
+  dirty_roots_.push_back(find(id));
+  return ActionId(id);
+}
+
+ActionId IncrementalConstraintGraph::component_root(ActionId id) {
+  return ActionId(find(id.value()));
+}
+
+const std::vector<ActionId>& IncrementalConstraintGraph::component_members(
+    ActionId root) {
+  assert(find(root.value()) == root.value() && "not a current root");
+  members_scratch_.clear();
+  members_scratch_.reserve(comp_size_[root.index()]);
+  for (std::uint32_t v = member_head_[root.index()]; v != kNoMember;
+       v = member_next_[v]) {
+    members_scratch_.push_back(ActionId(v));
+  }
+  return members_scratch_;
+}
+
+std::vector<std::vector<ActionId>> IncrementalConstraintGraph::components() {
+  // Walking ids in priority order makes every member list priority-sorted
+  // and opens components in order of their minimum priority.
+  std::vector<std::uint32_t> order(records_.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return stream_priority(records_[a]) <
+                     stream_priority(records_[b]);
+            });
+  std::vector<std::uint32_t> slot(records_.size(), kNoMember);
+  std::vector<std::vector<ActionId>> out;
+  out.reserve(components_);
+  for (std::uint32_t v : order) {
+    const std::uint32_t root = find(v);
+    if (slot[root] == kNoMember) {
+      slot[root] = static_cast<std::uint32_t>(out.size());
+      out.emplace_back().reserve(comp_size_[root]);
+    }
+    out[slot[root]].push_back(ActionId(v));
+  }
+  return out;
+}
+
+std::vector<ActionId> IncrementalConstraintGraph::take_dirty_roots() {
+  std::vector<ActionId> roots;
+  roots.reserve(dirty_roots_.size());
+  for (std::uint32_t raw : dirty_roots_) {
+    roots.push_back(ActionId(find(raw)));
+  }
+  dirty_roots_.clear();
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  return roots;
 }
 
 std::string render_matrix(const ConstraintMatrix& matrix,

@@ -1,25 +1,29 @@
-// Pairwise static-constraint matrix (§2.3).
+// Pairwise static constraints (§2.3) and the one code that enumerates them.
 //
-// The scheduler compares every pair of actions, across logs and within each
-// log, and records `constraint(a, b)` — whether `a` may precede `b`. The
-// relation is built from three sources: log order, target identity, and the
-// per-object `order` method.
+// `constraint(a, b)` records whether `a` may precede `b`. It comes from
+// three sources: log order, target identity, and the per-object `order`
+// method. Only pairs sharing a target can be anything but `safe`, and
+// `IncrementalConstraintGraph` is the only code that walks those pairs and
+// calls `order()` for the engine: it builds the sparse SolverGraph every
+// backend and the §6 causal keys read, the conflict-component partition,
+// and — when asked — the dense matrix the DFS path derives its Relations
+// from. `build_constraints_dense` is the all-pairs oracle the equivalence
+// tests compare it against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/constraint.hpp"
 #include "core/log.hpp"
 #include "core/universe.hpp"
-#include "util/bitset.hpp"
+#include "solver/graph.hpp"
 #include "util/ids.hpp"
 
 namespace icecube {
-
-class ThreadPool;
 
 /// Dense N×N matrix of `Constraint` values over a flattened action set.
 class ConstraintMatrix {
@@ -56,65 +60,148 @@ class ConstraintMatrix {
                                              const ActionRecord& a,
                                              const ActionRecord& b);
 
-/// Same evaluation, but over a caller-supplied shared-target set, for callers
-/// (the incremental graph) that already know which objects a pair has in
-/// common and must not pay a fresh `targets()` extraction per direction. The
-/// iteration order of `shared` does not affect the result; `order_calls` is
-/// incremented once per object-order query, matching the batch builders.
-[[nodiscard]] Constraint evaluate_constraint_over(
-    const Universe& universe, const ActionRecord& a, const ActionRecord& b,
-    const std::vector<ObjectId>& shared, std::uint64_t& order_calls);
-
-/// Work counters for one matrix construction. The sparse builder's whole
-/// point is doing strictly less of this than the dense all-pairs scan, so
-/// both builders count and the equivalence tests compare.
+/// Work counters for one construction. The graph's whole point is doing
+/// less of this than the dense all-pairs scan, so both builders count and
+/// the equivalence tests compare.
 struct ConstraintBuildStats {
   /// Ordered (a, b) pairs for which an evaluation ran. The dense builder
-  /// evaluates all n·(n−1); the sparse builder only the directions of pairs
-  /// sharing at least one target.
+  /// evaluates all n·(n−1); the graph only the log-reversing directions of
+  /// pairs sharing at least one target.
   std::uint64_t pairs_evaluated = 0;
   /// Shared-target set computations. The dense builder recomputes the set
-  /// for (a, b) and again for (b, a); the sparse builder computes it once
-  /// per unordered pair.
+  /// for (a, b) and again for (b, a); the graph computes it once per
+  /// unordered pair.
   std::uint64_t target_set_builds = 0;
-  /// `SharedObject::order` invocations.
+  /// `SharedObject::order` invocations. Both builders scan a direction's
+  /// shared targets in the first action's target order and stop at the
+  /// first `unsafe`, so they make the same calls.
   std::uint64_t order_calls = 0;
 };
 
-/// Knobs for the sparse builder.
-struct ConstraintBuildOptions {
-  /// Shard pair evaluation across this pool (the calling thread
-  /// participates). Null = evaluate on the calling thread only. Results are
-  /// identical either way: shards write disjoint matrix cells and the value
-  /// of a pair never depends on any other pair.
-  ThreadPool* pool = nullptr;
-  /// Filled with the work counters when non-null.
-  ConstraintBuildStats* stats = nullptr;
-};
-
-/// Builds the full matrix over `records` via the target→actions inverted
-/// index: only pairs sharing at least one target are evaluated (everything
-/// else is `safe` by §2.3 rule 1), the shared-target set is computed once
-/// per unordered pair and reused for both directions, and evaluation is
-/// optionally sharded across a thread pool. Produces a matrix identical to
-/// `build_constraints_dense`.
-[[nodiscard]] ConstraintMatrix build_constraints(
-    const Universe& universe, const std::vector<ActionRecord>& records,
-    const ConstraintBuildOptions& options = {});
-
 /// The original O(n²) all-pairs reference builder. Kept as the oracle for
-/// the sparse/dense equivalence tests and for complexity comparisons.
+/// the graph-vs-dense equivalence tests and for complexity comparisons.
 [[nodiscard]] ConstraintMatrix build_constraints_dense(
     const Universe& universe, const std::vector<ActionRecord>& records,
     ConstraintBuildStats* stats = nullptr);
 
-/// Per-action bitsets of the *other* actions sharing at least one target,
-/// built through the same target→actions inverted index the sparse matrix
-/// builder uses — O(Σ per-target group²) bit sets instead of the all-pairs
-/// O(n²·t²) scan. The §6 failure-memoization causal keys consume this; the
-/// reconcilers build it once and share it across every cutset's simulator.
-[[nodiscard]] std::vector<Bitset> build_target_overlap(
-    const std::vector<ActionRecord>& records);
+/// The conflict graph (DESIGN.md §8, §13, §15). Actions are added one at a
+/// time; each arrival probes a target→actions inverted index and evaluates
+/// only its pairs against already-known actions sharing a target, skipping
+/// the recorded direction of a same-log pair (safe by rule 2) — amortised
+/// O(overlap) per action. Batch callers feed records in flatten order
+/// (`build`); the streaming daemon feeds arrivals as they come.
+///
+/// Alongside the SolverGraph it maintains the conflict-component partition
+/// (union–find, merged small-into-large) and a dirty set: the components
+/// touched by arrivals since the last `take_dirty_roots()`. The daemon
+/// re-solves exactly those.
+///
+/// Ids are assigned in arrival order; the canonical cross-replica identity
+/// of a record is its stream priority (solver/components.hpp), not its id.
+class IncrementalConstraintGraph {
+ public:
+  /// `universe` supplies the `order` methods and the object-id space; it
+  /// must outlive the graph. Actions may only target objects that already
+  /// exist in it.
+  explicit IncrementalConstraintGraph(const Universe& universe);
+
+  /// The graph of `records` with ids equal to their indices — flatten
+  /// order gives the batch ids. When `dense` is non-null it is reset to the
+  /// n×n matrix of the same pass: every evaluated direction is written,
+  /// every other cell keeps the `safe` default, which §2.3 assigns to
+  /// disjoint pairs and to same-log pairs in their recorded order. The
+  /// result equals `build_constraints_dense`.
+  [[nodiscard]] static IncrementalConstraintGraph build(
+      const Universe& universe, const std::vector<ActionRecord>& records,
+      ConstraintMatrix* dense = nullptr);
+
+  /// Appends one action and extends the graph. Returns the new id. When
+  /// `merged` is non-null it receives the roots, as they were before this
+  /// arrival, of the components the arrival joined — each once, ordered by
+  /// the smallest partner id the arrival shares a target with.
+  ActionId add_action(ActionPtr action, LogId log, std::size_t position,
+                      std::vector<ActionId>* merged = nullptr);
+
+  [[nodiscard]] const std::vector<ActionRecord>& records() const {
+    return records_;
+  }
+  [[nodiscard]] const SolverGraph& graph() const { return graph_; }
+  /// Moves the adjacency lists out; the graph is spent afterwards.
+  [[nodiscard]] SolverGraph take_graph() { return std::move(graph_); }
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+
+  /// Pair-evaluation work counters.
+  [[nodiscard]] const ConstraintBuildStats& build_stats() const {
+    return stats_;
+  }
+
+  /// Union–find root of `id`'s component (path-halving; cheap).
+  [[nodiscard]] ActionId component_root(ActionId id);
+  /// Members (unsorted) of the component rooted at `root`, materialised
+  /// from the intrusive member chain into an internal scratch vector;
+  /// valid until the next call or add_action.
+  [[nodiscard]] const std::vector<ActionId>& component_members(ActionId root);
+  [[nodiscard]] std::size_t component_count() const { return components_; }
+  /// Every component, members sorted by stream priority and components by
+  /// their minimum member's priority — the order the batch solver walks
+  /// and merges them in.
+  [[nodiscard]] std::vector<std::vector<ActionId>> components();
+
+  /// Current roots of every component touched since the last call
+  /// (deduplicated, in ascending root id); clears the dirty set.
+  [[nodiscard]] std::vector<ActionId> take_dirty_roots();
+
+ private:
+  static constexpr std::uint32_t kNoMember = 0xffffffffU;
+
+  [[nodiscard]] std::uint32_t find(std::uint32_t v);
+  void unite(std::uint32_t a, std::uint32_t b);
+  /// The shared targets of `other` and the arriving action in `other`'s
+  /// target order (the pool slot holds them in the arrival's order).
+  [[nodiscard]] const std::vector<ObjectId>& shared_in_order_of(
+      ActionId other, const std::vector<ObjectId>& shared);
+
+  const Universe* universe_;
+  std::vector<ActionRecord> records_;
+  SolverGraph graph_;
+  ConstraintBuildStats stats_;
+  /// Set only while `build` runs: the matrix evaluated directions go to.
+  ConstraintMatrix* dense_ = nullptr;
+
+  /// Target → action ids, the inverted index arrivals probe.
+  std::vector<std::vector<ActionId>> by_target_;
+  /// Every action's target list, duplicates dropped, in one flat array:
+  /// action v's targets are [target_begin_[v], target_begin_[v + 1]).
+  std::vector<ObjectId> target_list_;
+  std::vector<std::uint32_t> target_begin_{0};
+  /// Per-existing-action stamp deduplicating multi-target pairs within one
+  /// add_action call (value = new id + 1).
+  std::vector<std::uint32_t> paired_stamp_;
+  /// Scratch for one add_action call: the deduplicated partners, the slot
+  /// each partner's shared-target set lives in (valid where the stamp
+  /// matches), a pool of shared-target vectors whose capacity is reused
+  /// across arrivals, and the reordered set of shared_in_order_of.
+  std::vector<ActionId> pair_others_;
+  std::vector<std::uint32_t> pair_slot_;
+  std::vector<std::vector<ObjectId>> pair_targets_pool_;
+  std::vector<ObjectId> reordered_;
+  /// Scratch for `merged`: per target, (smallest partner id under it, that
+  /// partner's pre-arrival root).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> partner_roots_;
+
+  std::vector<std::uint32_t> parent_;
+  /// Component membership as an intrusive singly-linked chain per root
+  /// (head/tail/size valid at roots only, next per id): unite splices in
+  /// O(1) with zero allocation, where vector-of-vectors merging cost one
+  /// heap singleton per arrival plus a copy per union.
+  std::vector<std::uint32_t> member_head_;
+  std::vector<std::uint32_t> member_tail_;
+  std::vector<std::uint32_t> member_next_;  ///< kNoMember ends a chain
+  std::vector<std::uint32_t> comp_size_;
+  std::vector<ActionId> members_scratch_;  ///< component_members() output
+  std::size_t components_ = 0;
+  std::vector<std::uint32_t> dirty_roots_;  ///< raw, pre-find, may repeat
+};
 
 /// Renders the matrix as an aligned text table (used by the figure benches
 /// and handy in test failures).

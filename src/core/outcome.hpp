@@ -72,7 +72,7 @@ struct SearchStats {
 
   /// Static-constraint construction work, copied from the builder's
   /// ConstraintBuildStats: ordered pair evaluations and SharedObject::order
-  /// calls. The sparse builder's savings over the dense all-pairs scan show
+  /// calls. The conflict graph's savings over the dense all-pairs scan show
   /// up here. The streaming daemon reuses `constraint_pairs_evaluated` for
   /// its incremental graph extension (new-vs-existing pairs only).
   std::uint64_t constraint_pairs_evaluated = 0;

@@ -36,12 +36,12 @@ void fetch_min(std::atomic<std::size_t>& target, std::size_t value) {
 /// itself is deterministic — cancellation only ever discards work whose
 /// results would be discarded at merge anyway.
 CutsetRun search_cutset(const std::vector<ActionRecord>& records,
-                        const Relations& relations, const Universe& initial,
+                        const Relations& relations, const SolverGraph& graph,
+                        const Universe& initial,
                         const ReconcilerOptions& options, Policy& policy,
                         const Cutset& cutset, const Deadline& deadline,
                         const Stopwatch& clock,
-                        std::atomic<std::size_t>* stop_index, std::size_t k,
-                        const std::vector<Bitset>* target_overlap) {
+                        std::atomic<std::size_t>* stop_index, std::size_t k) {
   CutsetRun run;
   Relations working;
   const Relations* active = &relations;
@@ -52,8 +52,8 @@ CutsetRun search_cutset(const std::vector<ActionRecord>& records,
     active = &working;
   }
   Selection local(policy, options.keep_outcomes);
-  Simulator simulator(records, *active, options, policy, local, run.stats,
-                      clock, deadline, target_overlap);
+  Simulator simulator(records, *active, graph, options, policy, local,
+                      run.stats, clock, deadline);
   simulator.set_improvement_log(&run.events);
   simulator.start(cutset, initial);
   constexpr std::uint64_t kPollChunk = 512;  // cancellation poll granularity
@@ -80,20 +80,20 @@ bool better_event(const ImprovementEvent& a, const ImprovementEvent& b) {
 }  // namespace
 
 void run_cutsets_parallel(const std::vector<ActionRecord>& records,
-                          const Relations& relations, const Universe& initial,
+                          const Relations& relations, const SolverGraph& graph,
+                          const Universe& initial,
                           const ReconcilerOptions& options, Policy& policy,
                           const std::vector<Cutset>& cutsets,
                           const Deadline& deadline, const Stopwatch& clock,
                           ThreadPool& pool, Selection& selection,
-                          SearchStats& stats,
-                          const std::vector<Bitset>* target_overlap) {
+                          SearchStats& stats) {
   const std::size_t count = cutsets.size();
   std::vector<CutsetRun> runs(count);
   std::atomic<std::size_t> stop_index{count};
   parallel_for_each(&pool, count, [&](std::size_t k) {
-    runs[k] = search_cutset(records, relations, initial, options, policy,
-                            cutsets[k], deadline, clock, &stop_index, k,
-                            target_overlap);
+    runs[k] = search_cutset(records, relations, graph, initial, options,
+                            policy, cutsets[k], deadline, clock, &stop_index,
+                            k);
     if (runs[k].stopped) fetch_min(stop_index, k);
   });
 
@@ -125,9 +125,8 @@ void run_cutsets_parallel(const std::vector<ActionRecord>& records,
       ReconcilerOptions carved = options;
       carved.limits.max_schedules = budget_schedules;
       carved.limits.max_steps = budget_steps;
-      rerun = search_cutset(records, relations, initial, carved, policy,
-                            cutsets[k], deadline, clock, nullptr, k,
-                            target_overlap);
+      rerun = search_cutset(records, relations, graph, initial, carved,
+                            policy, cutsets[k], deadline, clock, nullptr, k);
       run = &rerun;
     }
 

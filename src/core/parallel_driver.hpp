@@ -31,7 +31,7 @@
 #include "core/relations.hpp"
 #include "core/selection.hpp"
 #include "core/universe.hpp"
-#include "util/bitset.hpp"
+#include "solver/graph.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -44,15 +44,15 @@ namespace icecube {
 /// `policy` hooks are invoked from worker threads concurrently and must be
 /// thread-safe (see ReconcilerOptions::threads). `deadline` must be the
 /// run's shared deadline; `clock` the run stopwatch (used only for timing
-/// stats). `target_overlap` is the shared §6 overlap index (see
-/// build_target_overlap) — null when failure memoization is off.
+/// stats). `graph` is the whole problem's conflict graph, shared by every
+/// cutset's simulator for the §6 causal keys.
 void run_cutsets_parallel(const std::vector<ActionRecord>& records,
-                          const Relations& relations, const Universe& initial,
+                          const Relations& relations, const SolverGraph& graph,
+                          const Universe& initial,
                           const ReconcilerOptions& options, Policy& policy,
                           const std::vector<Cutset>& cutsets,
                           const Deadline& deadline, const Stopwatch& clock,
                           ThreadPool& pool, Selection& selection,
-                          SearchStats& stats,
-                          const std::vector<Bitset>* target_overlap = nullptr);
+                          SearchStats& stats);
 
 }  // namespace icecube

@@ -4,12 +4,38 @@
 #include <sstream>
 
 #include "core/degrade.hpp"
-#include "core/incremental.hpp"
 #include "core/selection.hpp"
 #include "solver/backend.hpp"
 #include "util/timer.hpp"
 
 namespace icecube {
+
+ConstraintStage build_constraint_stage(const Universe& initial,
+                                       std::vector<ActionRecord> records,
+                                       bool dense) {
+  ConstraintStage stage;
+  stage.records = std::move(records);
+  IncrementalConstraintGraph built = IncrementalConstraintGraph::build(
+      initial, stage.records, dense ? &stage.matrix : nullptr);
+  stage.build_stats = built.build_stats();
+  if (dense) {
+    stage.relations = Relations::from_constraints(stage.matrix);
+  } else {
+    stage.components = built.components();
+  }
+  stage.graph = built.take_graph();
+  return stage;
+}
+
+std::vector<Cutset> select_cutsets(const Relations& relations, Policy& policy,
+                                   SearchStats& stats) {
+  CutsetAnalysis cuts =
+      find_proper_cutsets(relations, kMaxCycles, kMaxCutsets);
+  stats.cutsets_truncated = cuts.truncated;
+  policy.select_cutsets(cuts.cutsets);
+  stats.cutset_count = cuts.cutsets.size();
+  return std::move(cuts.cutsets);
+}
 
 Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
                        ReconcilerOptions options, Policy* policy)
@@ -28,35 +54,21 @@ Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
       options_.threads == 1 ? 1 : ThreadPool::resolve(options_.threads);
   // The calling thread is always one lane, so a pool of lanes-1 workers.
   if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes - 1);
-  records_ = flatten(logs_);
 
   // Backend resolution (DESIGN.md §13): DFS (and auto, while the problem is
   // small enough) runs on the dense matrix/closure path; the greedy and
-  // local-search backends always run on the sparse adjacency path — the
-  // dense structures are Θ(n²) and would wall off exactly the log sizes
-  // those backends exist for. Auto on an oversized problem degenerates to
-  // pure local search.
+  // local-search backends stay on the sparse graph — the dense structures
+  // are Θ(n²) and would wall off exactly the log sizes those backends exist
+  // for. Auto on an oversized problem degenerates to pure local search.
+  std::vector<ActionRecord> records = flatten(logs_);
   resolved_backend_ = options_.backend;
   if (resolved_backend_ == SolverKind::kAuto &&
-      records_.size() > options_.dense_graph_limit) {
+      records.size() > options_.dense_graph_limit) {
     resolved_backend_ = SolverKind::kLocalSearch;
   }
   sparse_ = resolved_backend_ == SolverKind::kGreedy ||
             resolved_backend_ == SolverKind::kLocalSearch;
-  if (sparse_) {
-    IncrementalConstraintGraph built =
-        IncrementalConstraintGraph::build(initial_, records_);
-    build_stats_ = built.build_stats();
-    components_ = built.components();
-    graph_ = built.take_graph();
-  } else {
-    matrix_ =
-        build_constraints(initial_, records_, {pool_.get(), &build_stats_});
-    relations_ = Relations::from_constraints(matrix_);
-    if (options_.memoize_failures) {
-      target_overlap_ = build_target_overlap(records_);
-    }
-  }
+  stage_ = build_constraint_stage(initial_, std::move(records), !sparse_);
 }
 
 ReconcileResult Reconciler::run() {
@@ -68,34 +80,28 @@ ReconcileResult Reconciler::run() {
 
   std::vector<Cutset> cutsets;
   SolveContext ctx;
-  ctx.records = &records_;
+  ctx.records = &stage_.records;
   ctx.initial = &initial_;
   ctx.options = &options_;
   ctx.policy = policy_;
   ctx.deadline = &deadline;
   ctx.clock = &clock;
   ctx.pool = pool_.get();
+  ctx.graph = &stage_.graph;
   if (sparse_) {
     // One implicit sub-problem; dependence cycles are handled inside the
     // engine (cycle members are frozen out), so no cutset analysis runs.
     cutsets.push_back(Cutset{});
-    ctx.graph = &graph_;
-    ctx.components = &components_;
+    result.stats.cutset_count = 1;
+    ctx.components = &stage_.components;
   } else {
-    CutsetAnalysis cuts =
-        find_proper_cutsets(relations_, kMaxCycles, kMaxCutsets);
-    result.stats.cutsets_truncated = cuts.truncated;
-    policy_->select_cutsets(cuts.cutsets);
-    cutsets = std::move(cuts.cutsets);
-    ctx.relations = &relations_;
-    ctx.target_overlap =
-        options_.memoize_failures ? &target_overlap_ : nullptr;
+    cutsets = select_cutsets(stage_.relations, *policy_, result.stats);
+    ctx.relations = &stage_.relations;
   }
   ctx.cutsets = &cutsets;
-  result.stats.cutset_count = cutsets.size();
   result.cutsets = cutsets;
-  result.stats.constraint_pairs_evaluated = build_stats_.pairs_evaluated;
-  result.stats.constraint_order_calls = build_stats_.order_calls;
+  result.stats.constraint_pairs_evaluated = stage_.build_stats.pairs_evaluated;
+  result.stats.constraint_order_calls = stage_.build_stats.order_calls;
 
   Selection selection(*policy_, options_.keep_outcomes);
   make_solver_backend(resolved_backend_)->solve(ctx, selection, result.stats);
@@ -108,8 +114,8 @@ ReconcileResult Reconciler::run() {
       std::any_of(selection.outcomes().begin(), selection.outcomes().end(),
                   [](const Outcome& o) { return o.complete; });
   if (options_.degrade_on_exhaustion && result.stats.hit_limit &&
-      !any_complete && !records_.empty()) {
-    Outcome fallback = greedy_degraded_outcome(initial_, records_);
+      !any_complete && !stage_.records.empty()) {
+    Outcome fallback = greedy_degraded_outcome(initial_, stage_.records);
     result.degraded = true;
     result.degraded_dropped = fallback.skipped;
     (void)selection.offer(std::move(fallback));
@@ -124,7 +130,7 @@ std::string Reconciler::describe_schedule(
     const std::vector<ActionId>& schedule) const {
   std::ostringstream os;
   for (ActionId id : schedule) {
-    const ActionRecord& rec = records_[id.index()];
+    const ActionRecord& rec = stage_.records[id.index()];
     const std::string& name = logs_[rec.log.index()].name();
     os << (name.empty() ? "log" + std::to_string(rec.log.value()) : name)
        << ':' << rec.position << ' ' << rec.action->describe() << '\n';

@@ -1,9 +1,10 @@
 // Top-level reconciliation (§2.1): scheduling → simulation → selection.
 //
 // This is the public entry point of the library. Feed it the common initial
-// state and one log per replica; it builds the static constraint relation,
-// analyses dependence cycles, searches schedules per proper cutset under the
-// configured heuristic, and returns the ranked outcomes.
+// state and one log per replica; it builds the static constraint relation
+// (one pair pass, DESIGN.md §8), analyses dependence cycles, searches
+// schedules per proper cutset under the configured heuristic, and returns
+// the ranked outcomes.
 #pragma once
 
 #include <memory>
@@ -44,6 +45,36 @@ struct ReconcileResult {
   [[nodiscard]] bool found_any() const { return !outcomes.empty(); }
 };
 
+/// The static stage of one reconciliation (§2.3, §3.1): the flattened
+/// records and their conflict graph, and on the dense path the constraint
+/// matrix and relations too. Both reconcilers build it with
+/// `build_constraint_stage`. Only the built results are kept, not the
+/// IncrementalConstraintGraph: it points at the initial universe, which a
+/// move of the owning reconciler would leave behind.
+struct ConstraintStage {
+  std::vector<ActionRecord> records;
+  /// Raw D edges and overlap lists; the §6 causal keys read the latter.
+  SolverGraph graph;
+  /// Conflict components, priority-sorted (sparse path only).
+  std::vector<std::vector<ActionId>> components;
+  /// The matrix and the relations derived from it (dense path only).
+  ConstraintMatrix matrix;
+  Relations relations;
+  ConstraintBuildStats build_stats;
+};
+
+/// Runs the one pair pass over `records` (flatten order). `dense` (the dfs
+/// and auto backends) also fills the matrix and derives the relations;
+/// otherwise the component partition is taken instead.
+[[nodiscard]] ConstraintStage build_constraint_stage(
+    const Universe& initial, std::vector<ActionRecord> records, bool dense);
+
+/// The proper cutsets of `relations` (§3.2) in the order `policy` selects,
+/// with their count and truncation recorded in `stats`.
+[[nodiscard]] std::vector<Cutset> select_cutsets(const Relations& relations,
+                                                 Policy& policy,
+                                                 SearchStats& stats);
+
 /// One-problem reconciler. Construct with the initial universe and the
 /// divergent logs, optionally attach a policy, then `run()`.
 ///
@@ -64,25 +95,29 @@ class Reconciler {
   [[nodiscard]] ReconcileResult run();
 
   /// Introspection for tests, benches and demos — valid after construction.
-  /// `constraints()`/`relations()` are populated on the dense path only
-  /// (backend dfs, or auto within `dense_graph_limit`); the greedy and
-  /// local-search backends build `solver_graph()` instead and leave the
-  /// dense structures empty.
+  /// `solver_graph()` is populated on every path. `constraints()` and
+  /// `relations()` are populated on the dense path only (backend dfs, or
+  /// auto within `dense_graph_limit`); the greedy and local-search backends
+  /// leave them empty.
   [[nodiscard]] const std::vector<ActionRecord>& records() const {
-    return records_;
+    return stage_.records;
   }
-  [[nodiscard]] const ConstraintMatrix& constraints() const { return matrix_; }
-  [[nodiscard]] const Relations& relations() const { return relations_; }
-  [[nodiscard]] const SolverGraph& solver_graph() const { return graph_; }
+  [[nodiscard]] const ConstraintMatrix& constraints() const {
+    return stage_.matrix;
+  }
+  [[nodiscard]] const Relations& relations() const { return stage_.relations; }
+  [[nodiscard]] const SolverGraph& solver_graph() const {
+    return stage_.graph;
+  }
   /// The backend the options resolved to (auto on an oversized problem
   /// degenerates to local search).
   [[nodiscard]] SolverKind resolved_backend() const {
     return resolved_backend_;
   }
   [[nodiscard]] const Universe& initial_state() const { return initial_; }
-  /// Work counters of the (sparse) constraint construction.
+  /// Work counters of the constraint construction.
   [[nodiscard]] const ConstraintBuildStats& build_stats() const {
-    return build_stats_;
+    return stage_.build_stats;
   }
 
   /// Formats a schedule as "log:pos op(...)" lines for demos.
@@ -96,25 +131,12 @@ class Reconciler {
   Policy* policy_;
   std::unique_ptr<Policy> default_policy_;
 
-  std::vector<ActionRecord> records_;
-  ConstraintMatrix matrix_;
-  ConstraintBuildStats build_stats_;
-  Relations relations_;
-  /// Sparse adjacency graph and its priority-sorted conflict components
-  /// (greedy/local-search path only). Only the built results are kept, not
-  /// the IncrementalConstraintGraph: it points at `initial_`, which a move
-  /// of the reconciler would leave behind.
-  SolverGraph graph_;
-  std::vector<std::vector<ActionId>> components_;
+  ConstraintStage stage_;
   SolverKind resolved_backend_ = SolverKind::kDfs;
   bool sparse_ = false;
-  /// Shared target→actions overlap index for the §6 causal keys, built once
-  /// here and handed to every cutset's simulator (empty when failure
-  /// memoization is off).
-  std::vector<Bitset> target_overlap_;
   /// Worker pool behind ReconcilerOptions::threads — created once (threads
-  /// != 1), shared by the constraint build and every run(). Null means
-  /// fully sequential.
+  /// != 1), shared by every run()'s cutset search. Null means fully
+  /// sequential.
   std::unique_ptr<ThreadPool> pool_;
 };
 

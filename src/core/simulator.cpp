@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/constraint_builder.hpp"
-
 namespace icecube {
 
 namespace {
@@ -18,21 +16,20 @@ Bitset cutset_bits(const Cutset& cutset, std::size_t n) {
 }  // namespace
 
 Simulator::Simulator(const std::vector<ActionRecord>& records,
-                     const Relations& relations,
+                     const Relations& relations, const SolverGraph& graph,
                      const ReconcilerOptions& options, Policy& policy,
                      Selection& selection, SearchStats& stats,
-                     const Stopwatch& clock, Deadline deadline,
-                     const std::vector<Bitset>* target_overlap)
+                     const Stopwatch& clock, Deadline deadline)
     : records_(records),
       relations_(relations),
+      graph_(graph),
       options_(options),
       policy_(policy),
       selection_(selection),
       stats_(stats),
       clock_(clock),
       deadline_(deadline),
-      done_(records.size()),
-      overlap_(target_overlap) {
+      done_(records.size()) {
   if (options.strict_pick_seed != 0) {
     strict_rng_.emplace(options.strict_pick_seed);
   }
@@ -41,9 +38,8 @@ Simulator::Simulator(const std::vector<ActionRecord>& records,
 std::uint64_t Simulator::causal_key(ActionId action) const {
   std::uint64_t state = 0x9d3f5ca1b7e42681ULL ^ action.value();
   std::uint64_t hash = splitmix64(state);
-  const Bitset& overlap = (*overlap_)[action.index()];
   for (ActionId executed : prefix_) {
-    if (overlap.test(executed.index())) {
+    if (graph_.overlaps(action, executed)) {
       state ^= (hash << 1) ^ executed.value();
       hash ^= splitmix64(state);
     }
@@ -53,12 +49,7 @@ std::uint64_t Simulator::causal_key(ActionId action) const {
 
 void Simulator::start(const Cutset& cutset, const Universe& initial) {
   assert(records_.size() == relations_.size());
-  if (options_.memoize_failures && overlap_ == nullptr) {
-    // No shared index was handed in: build our own once (reused across
-    // start() calls — the overlap relation depends only on the action set).
-    owned_overlap_ = build_target_overlap(records_);
-    overlap_ = &owned_overlap_;
-  }
+  assert(records_.size() == graph_.n);
   clone_mark_ = Universe::thread_counters();
   known_failures_.clear();  // keys are relative to this cutset's searches
   const Bitset excluded = cutset_bits(cutset, records_.size());

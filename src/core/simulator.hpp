@@ -27,6 +27,7 @@
 #include "core/relations.hpp"
 #include "core/scheduler.hpp"
 #include "core/selection.hpp"
+#include "solver/graph.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -38,22 +39,18 @@ namespace icecube {
 class Simulator {
  public:
   /// `relations` must already be restricted to the cutset (see
-  /// `Relations::restricted`); `clock` is the whole-run stopwatch used for
-  /// time-to-best reporting, `deadline` the fixed point at which the search
-  /// must stop (capture it once per run with `Deadline::after_seconds`).
-  /// The deadline is immutable, so worker threads of the parallel driver
-  /// can share one instance and poll it without synchronisation.
-  ///
-  /// `target_overlap` (per action: the other actions sharing a target, as
-  /// built by `build_target_overlap`) feeds the §6 causal keys; the
-  /// reconcilers build it once over the full action set and share it across
-  /// every cutset's simulator. Null makes the simulator build its own on
-  /// first use (only if `memoize_failures` is on).
+  /// `Relations::restricted`); `graph` is the whole problem's conflict
+  /// graph, whose overlap lists feed the §6 causal keys. `clock` is the
+  /// whole-run stopwatch used for time-to-best reporting, `deadline` the
+  /// fixed point at which the search must stop (capture it once per run
+  /// with `Deadline::after_seconds`). The deadline is immutable, so worker
+  /// threads of the parallel driver can share one instance and poll it
+  /// without synchronisation.
   Simulator(const std::vector<ActionRecord>& records,
-            const Relations& relations, const ReconcilerOptions& options,
-            Policy& policy, Selection& selection, SearchStats& stats,
-            const Stopwatch& clock, Deadline deadline,
-            const std::vector<Bitset>* target_overlap = nullptr);
+            const Relations& relations, const SolverGraph& graph,
+            const ReconcilerOptions& options, Policy& policy,
+            Selection& selection, SearchStats& stats, const Stopwatch& clock,
+            Deadline deadline);
 
   /// Mirrors every "new incumbent best" into `log` (see ImprovementEvent);
   /// the parallel driver uses this to reconstruct the sequential engine's
@@ -117,6 +114,7 @@ class Simulator {
 
   const std::vector<ActionRecord>& records_;
   const Relations& relations_;
+  const SolverGraph& graph_;
   const ReconcilerOptions& options_;
   Policy& policy_;
   Selection& selection_;
@@ -141,8 +139,6 @@ class Simulator {
   Universe::CloneCounters clone_mark_;
 
   // Failure memoization (ReconcilerOptions::memoize_failures).
-  const std::vector<Bitset>* overlap_;  // per action: actions sharing a target
-  std::vector<Bitset> owned_overlap_;   // backing store when none was shared
   std::unordered_map<std::uint64_t, FailureKind> known_failures_;
 };
 

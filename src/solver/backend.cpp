@@ -1,8 +1,9 @@
 #include "solver/backend.hpp"
 
-#include "core/incremental.hpp"
+#include "core/constraint_builder.hpp"
 #include "solver/dfs_backend.hpp"
 #include "solver/local_search.hpp"
+#include "util/bitset.hpp"
 
 namespace icecube {
 

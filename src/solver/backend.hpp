@@ -39,7 +39,6 @@
 #include "core/selection.hpp"
 #include "core/universe.hpp"
 #include "solver/graph.hpp"
-#include "util/bitset.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -47,7 +46,9 @@ namespace icecube {
 
 /// Everything a backend needs for one solve. All pointers are non-owning
 /// and must outlive the call; fields irrelevant to a backend may be null as
-/// documented per member.
+/// documented per member. Reconciler fills it from one ConstraintStage, so
+/// the graph, the matrix behind `relations` and the §6 overlap lists all
+/// come from the same pair pass.
 struct SolveContext {
   const std::vector<ActionRecord>* records = nullptr;
   const Universe* initial = nullptr;
@@ -60,19 +61,20 @@ struct SolveContext {
   /// the sparse path.
   const Relations* relations = nullptr;
   const std::vector<Cutset>* cutsets = nullptr;
-  /// Sparse adjacency graph and its conflict components (priority-sorted,
-  /// see IncrementalConstraintGraph::components): required by
-  /// kGreedy/kLocalSearch; kAuto ignores them and builds one graph per
-  /// large cutset over the actions outside it.
+  /// The problem's conflict graph, required by every backend: kGreedy and
+  /// kLocalSearch search it, kDfs reads its overlap lists for the §6 causal
+  /// keys. kAuto's DFS part reads it too; each large cutset gets a graph of
+  /// its own over the actions outside it.
   const SolverGraph* graph = nullptr;
+  /// Its conflict components (priority-sorted, see
+  /// IncrementalConstraintGraph::components): required by
+  /// kGreedy/kLocalSearch, null on the dense path.
   const std::vector<std::vector<ActionId>>* components = nullptr;
 
   /// Worker pool for the DFS parallel driver (null = sequential). The
   /// greedy/local-search backends are single-threaded by construction —
   /// their determinism is thread-count-invariant trivially.
   ThreadPool* pool = nullptr;
-  /// §6 target-overlap bitsets for DFS failure memoization; null when off.
-  const std::vector<Bitset>* target_overlap = nullptr;
 };
 
 /// One solver strategy. Implementations append outcomes to `selection` and

@@ -14,9 +14,9 @@ void DfsBackend::solve(const SolveContext& ctx, Selection& selection,
   if (ctx.pool != nullptr && cutsets.size() > 1) {
     // Independent cutsets are independent search problems: fan them out
     // across the pool and merge deterministically (see parallel_driver.hpp).
-    run_cutsets_parallel(records, *ctx.relations, *ctx.initial, options,
-                         *ctx.policy, cutsets, *ctx.deadline, *ctx.clock,
-                         *ctx.pool, selection, stats, ctx.target_overlap);
+    run_cutsets_parallel(records, *ctx.relations, *ctx.graph, *ctx.initial,
+                         options, *ctx.policy, cutsets, *ctx.deadline,
+                         *ctx.clock, *ctx.pool, selection, stats);
     return;
   }
   for (const Cutset& cutset : cutsets) {
@@ -30,8 +30,8 @@ void DfsBackend::solve(const SolveContext& ctx, Selection& selection,
       working = ctx.relations->restricted(removed);
       active = &working;
     }
-    Simulator simulator(records, *active, options, *ctx.policy, selection,
-                        stats, *ctx.clock, *ctx.deadline, ctx.target_overlap);
+    Simulator simulator(records, *active, *ctx.graph, options, *ctx.policy,
+                        selection, stats, *ctx.clock, *ctx.deadline);
     if (!simulator.run(cutset, *ctx.initial)) break;
   }
 }

@@ -13,9 +13,11 @@
 // a *topological* permutation invariant: a permutation respects the closed
 // relation iff it respects every raw edge.
 //
-// The lists are built by IncrementalConstraintGraph (core/incremental.hpp),
-// the one sparse construction: the batch path feeds it records in flatten
-// order, the streaming daemon feeds it arrivals one at a time.
+// The lists are built by IncrementalConstraintGraph
+// (core/constraint_builder.hpp), the one pair pass: the batch paths feed it
+// records in flatten order, the streaming daemon feeds it arrivals one at a
+// time. The DFS path reads the same graph's overlap lists for the §6 causal
+// keys.
 #pragma once
 
 #include <cstddef>

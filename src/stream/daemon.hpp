@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "capture/capture_sink.hpp"
-#include "core/incremental.hpp"
+#include "core/constraint_builder.hpp"
 #include "core/options.hpp"
 #include "core/outcome.hpp"
 #include "core/universe.hpp"

@@ -155,7 +155,8 @@ TEST_F(ConstraintBuilderTest, BuildsFullMatrix) {
 
   const auto records = flatten({l0, l1});
   ASSERT_EQ(records.size(), 3u);
-  const ConstraintMatrix m = build_constraints(universe_, records);
+  ConstraintMatrix m;
+  (void)IncrementalConstraintGraph::build(universe_, records, &m);
   EXPECT_EQ(m.size(), 3u);
   // In-log forward: safe.
   EXPECT_EQ(m.at(ActionId(0), ActionId(1)), Constraint::kSafe);

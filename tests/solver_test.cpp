@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/constraint_builder.hpp"
-#include "core/incremental.hpp"
 #include "core/reconciler.hpp"
 #include "objects/counter.hpp"
 #include "solver/graph.hpp"
@@ -341,7 +340,7 @@ TEST(SolverOracle, OracleHoldsOnContestedCounterWorkload) {
 }
 
 TEST(SolverGraphTest, EdgesMatchDenseRelationsOnFages) {
-  // The sparse builder must agree with the dense matrix + relations
+  // The greedy path's graph must agree with the dense matrix + relations
   // pipeline on which raw D edges exist.
   const Generated g = small_fages(55);
   Reconciler dense(g.initial, g.logs, solver_options(SolverKind::kDfs));
@@ -357,6 +356,39 @@ TEST(SolverGraphTest, EdgesMatchDenseRelationsOnFages) {
           dense_succs.insert(static_cast<std::uint32_t>(b));
         });
     EXPECT_EQ(sparse_succs, dense_succs) << "action " << a;
+  }
+}
+
+TEST(SolverGraphTest, DensePathBuildsTheSameGraph) {
+  // Every backend reads the graph of the one pair pass: the DFS path fills
+  // the matrix from it too, but the graph itself must not depend on that.
+  const std::vector<std::pair<const char*, Generated>> problems = {
+      {"calendar", workload::calendar_workload(
+                       {.users = 4, .actions_per_user = 4, .seed = 3})},
+      {"counter", workload::counter_workload(
+                      {.replicas = 3, .actions_per_replica = 6, .seed = 3})},
+      {"fs", workload::fs_workload(
+                 {.replicas = 3, .actions_per_replica = 6, .seed = 3})},
+      {"text", workload::text_workload(
+                   {.replicas = 2, .actions_per_replica = 5, .seed = 3})},
+      {"fages", small_fages(55)},
+  };
+  for (const auto& [name, g] : problems) {
+    SCOPED_TRACE(name);
+    const Reconciler dfs(g.initial, g.logs, solver_options(SolverKind::kDfs));
+    const Reconciler greedy(g.initial, g.logs,
+                            solver_options(SolverKind::kGreedy));
+    const SolverGraph& a = dfs.solver_graph();
+    const SolverGraph& b = greedy.solver_graph();
+    ASSERT_EQ(a.n, dfs.records().size());
+    ASSERT_EQ(a.n, b.n);
+    EXPECT_EQ(a.preds, b.preds);
+    EXPECT_EQ(a.succs, b.succs);
+    EXPECT_EQ(a.overlap_lists, b.overlap_lists);
+    EXPECT_EQ(dfs.build_stats().pairs_evaluated,
+              greedy.build_stats().pairs_evaluated);
+    EXPECT_EQ(dfs.build_stats().order_calls,
+              greedy.build_stats().order_calls);
   }
 }
 
@@ -390,14 +422,21 @@ TEST(SolverGraphTest, RepeatedTargetNeverPairsAnActionWithItself) {
   Reconciler dense(initial, logs, solver_options(SolverKind::kDfs));
   Reconciler sparse(initial, logs, solver_options(SolverKind::kGreedy));
   const SolverGraph& graph = sparse.solver_graph();
-  const std::vector<Bitset> overlap = build_target_overlap(dense.records());
+  const std::vector<ActionRecord>& records = dense.records();
   for (std::size_t x = 0; x < graph.n; ++x) {
     std::vector<ActionId> dense_succs;
     dense.relations().raw_successors(ActionId(x)).for_each(
         [&](std::size_t y) { dense_succs.push_back(ActionId(y)); });
+    // All-pairs oracle: every other action sharing a target with x.
     std::vector<ActionId> dense_overlap;
-    overlap[x].for_each(
-        [&](std::size_t y) { dense_overlap.push_back(ActionId(y)); });
+    const std::vector<ObjectId> tx = records[x].action->targets();
+    for (std::size_t y = 0; y < records.size(); ++y) {
+      const std::vector<ObjectId> ty = records[y].action->targets();
+      const bool shares = std::any_of(tx.begin(), tx.end(), [&](ObjectId t) {
+        return std::find(ty.begin(), ty.end(), t) != ty.end();
+      });
+      if (y != x && shares) dense_overlap.push_back(ActionId(y));
+    }
     EXPECT_EQ(graph.succs[x], dense_succs) << "action " << x;
     EXPECT_EQ(graph.overlap_lists[x], dense_overlap) << "action " << x;
   }

@@ -1,11 +1,12 @@
-// Sparse constraint construction vs the dense all-pairs oracle.
+// The one pair pass vs the dense all-pairs oracle.
 //
-// `build_constraints` walks a target→actions inverted index and evaluates
-// only pairs that share a target (everything else is safe by §2.3 rule 1),
-// computing each unordered pair's shared-target set once. These tests check
-// it against `build_constraints_dense` — identical matrices, strictly less
-// work — over the library workload generators and randomized scripted
-// universes, sequentially and sharded across a thread pool.
+// `IncrementalConstraintGraph::build` walks a target→actions inverted index
+// and evaluates only pairs that share a target (everything else is safe by
+// §2.3 rule 1), computing each unordered pair's shared-target set once and
+// skipping the recorded direction of same-log pairs (rule 2). The matrix it
+// fills is checked against `build_constraints_dense` — identical cells, the
+// same `order()` calls, less work — over the library workload generators,
+// randomized scripted universes and a target listed twice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include "core/log.hpp"
 #include "core/universe.hpp"
 #include "test_helpers.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/generators.hpp"
 
 namespace icecube {
@@ -39,8 +39,17 @@ void expect_same_matrix(const ConstraintMatrix& want,
   }
 }
 
-/// Builds both ways (plus the pool-sharded sparse variant) and checks
-/// equality and the work-counter relations.
+/// The matrix the graph fills, with the graph's work counters.
+ConstraintMatrix graph_matrix(const Universe& universe,
+                              const std::vector<ActionRecord>& records,
+                              ConstraintBuildStats* stats) {
+  ConstraintMatrix matrix;
+  *stats = IncrementalConstraintGraph::build(universe, records, &matrix)
+               .build_stats();
+  return matrix;
+}
+
+/// Builds both ways and checks equality and the work-counter relations.
 void check_equivalence(const Universe& universe,
                        const std::vector<Log>& logs) {
   const std::vector<ActionRecord> records = flatten(logs);
@@ -50,30 +59,21 @@ void check_equivalence(const Universe& universe,
   const ConstraintMatrix dense =
       build_constraints_dense(universe, records, &dense_stats);
 
-  ConstraintBuildStats sparse_stats;
-  const ConstraintMatrix sparse =
-      build_constraints(universe, records, {nullptr, &sparse_stats});
-  expect_same_matrix(dense, sparse);
-
-  ThreadPool pool(3);
-  ConstraintBuildStats pooled_stats;
-  const ConstraintMatrix pooled =
-      build_constraints(universe, records, {&pool, &pooled_stats});
-  expect_same_matrix(dense, pooled);
+  ConstraintBuildStats graph_stats;
+  const ConstraintMatrix from_graph =
+      graph_matrix(universe, records, &graph_stats);
+  expect_same_matrix(dense, from_graph);
 
   // The dense oracle does all n(n-1) ordered pairs and builds the shared
-  // set for each; the sparse builder touches only sharing pairs, once.
+  // set for each; the graph touches only sharing pairs, once, and makes
+  // exactly the oracle's order() calls.
   EXPECT_EQ(dense_stats.pairs_evaluated, n * (n - 1));
   EXPECT_EQ(dense_stats.target_set_builds, n * (n - 1));
-  EXPECT_LE(sparse_stats.pairs_evaluated, dense_stats.pairs_evaluated);
+  EXPECT_LE(graph_stats.pairs_evaluated, dense_stats.pairs_evaluated);
   if (n >= 2) {
-    EXPECT_LT(sparse_stats.target_set_builds, dense_stats.target_set_builds);
+    EXPECT_LT(graph_stats.target_set_builds, dense_stats.target_set_builds);
   }
-
-  // Sharding must not change what work is done, only where.
-  EXPECT_EQ(sparse_stats.pairs_evaluated, pooled_stats.pairs_evaluated);
-  EXPECT_EQ(sparse_stats.target_set_builds, pooled_stats.target_set_builds);
-  EXPECT_EQ(sparse_stats.order_calls, pooled_stats.order_calls);
+  EXPECT_EQ(graph_stats.order_calls, dense_stats.order_calls);
 }
 
 TEST(SparseConstraints, EmptyAndSingleton) {
@@ -118,6 +118,37 @@ TEST(SparseConstraints, TextWorkloads) {
     const auto g = workload::text_workload(
         {.replicas = 2, .actions_per_replica = 5, .seed = seed});
     check_equivalence(g.initial, g.logs);
+  }
+}
+
+/// Objects whose verdicts differ, so how many order() calls a direction
+/// makes depends on the order it scans the shared targets in; plus actions
+/// that list a target twice, which must not pair with themselves.
+TEST(SparseConstraints, RepeatedAndReorderedTargets) {
+  Universe u;
+  const ObjectId x = u.add(std::make_unique<ScriptedObject>(
+      [](const Action&, const Action&, LogRelation) {
+        return Constraint::kUnsafe;
+      }));
+  const ObjectId y = u.add(std::make_unique<ScriptedObject>(
+      [](const Action&, const Action&, LogRelation) {
+        return Constraint::kSafe;
+      }));
+  const auto nop = [](std::string op, std::vector<ObjectId> targets) {
+    return std::make_shared<testing::NopAction>(std::move(op),
+                                                std::move(targets));
+  };
+  std::vector<Log> logs;
+  logs.push_back(make_log(
+      "a", {nop("p", {y, x}), nop("r", {x, x, y}), nop("t", {y, y})}));
+  logs.push_back(make_log("b", {nop("q", {x, y}), nop("s", {x, y, x})}));
+  check_equivalence(u, logs);
+
+  const IncrementalConstraintGraph graph =
+      IncrementalConstraintGraph::build(u, flatten(logs));
+  for (std::size_t v = 0; v < graph.size(); ++v) {
+    EXPECT_FALSE(graph.graph().overlaps(ActionId(v), ActionId(v)))
+        << "action " << v << " pairs with itself";
   }
 }
 
@@ -171,7 +202,7 @@ TEST(SparseConstraints, RandomScriptedUniverses) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     check_equivalence(u, logs);
 
-    // With several objects some pairs are disjoint, so the sparse builder
+    // With several objects some pairs are disjoint, so the graph
     // must also evaluate strictly fewer ordered pairs, not just tie.
     const std::vector<ActionRecord> records = flatten(logs);
     const auto disjoint = [](const ActionRecord& x, const ActionRecord& y) {
@@ -192,10 +223,10 @@ TEST(SparseConstraints, RandomScriptedUniverses) {
       }
     }
     if (any_disjoint) {
-      ConstraintBuildStats dense_stats, sparse_stats;
+      ConstraintBuildStats dense_stats, graph_stats;
       (void)build_constraints_dense(u, records, &dense_stats);
-      (void)build_constraints(u, records, {nullptr, &sparse_stats});
-      EXPECT_LT(sparse_stats.pairs_evaluated, dense_stats.pairs_evaluated);
+      (void)graph_matrix(u, records, &graph_stats);
+      EXPECT_LT(graph_stats.pairs_evaluated, dense_stats.pairs_evaluated);
     }
   }
 }

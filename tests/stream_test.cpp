@@ -313,9 +313,30 @@ TEST(StreamCommit, ViolationsAreCountedNotHidden) {
 
 // --- incremental constraint graph ----------------------------------------
 
+/// All-pairs oracle of the overlap relation: per action, the other actions
+/// sharing at least one target with it, ascending.
+std::vector<std::vector<ActionId>> shared_target_oracle(
+    const std::vector<ActionRecord>& records) {
+  std::vector<std::vector<ObjectId>> targets;
+  for (const ActionRecord& r : records) targets.push_back(r.action->targets());
+  std::vector<std::vector<ActionId>> out(records.size());
+  for (std::size_t a = 0; a < records.size(); ++a) {
+    for (std::size_t b = 0; b < records.size(); ++b) {
+      const bool shares = std::any_of(
+          targets[a].begin(), targets[a].end(), [&](ObjectId t) {
+            return std::find(targets[b].begin(), targets[b].end(), t) !=
+                   targets[b].end();
+          });
+      if (a != b && shares) out[a].push_back(ActionId(b));
+    }
+  }
+  return out;
+}
+
 TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
-  // The oracle is the dense all-pairs builder over the same record sequence
-  // (ids in arrival order): its raw D edges and the §6 target overlap.
+  // The oracles are all-pairs scans over the same record sequence (ids in
+  // arrival order): the dense builder's raw D edges and the shared-target
+  // relation.
   FagesSpec spec;
   spec.seed = 21;
   const Generated gen = fages_workload(spec);
@@ -333,12 +354,12 @@ TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
     }
     const Relations dense = Relations::from_constraints(
         build_constraints_dense(gen.initial, records));
-    const std::vector<Bitset> overlap = build_target_overlap(records);
+    const std::vector<std::vector<ActionId>> overlaps =
+        shared_target_oracle(records);
     const SolverGraph& inc = incremental.graph();
     ASSERT_EQ(inc.n, records.size());
     std::vector<std::vector<ActionId>> preds(inc.n);
     std::vector<std::vector<ActionId>> succs(inc.n);
-    std::vector<std::vector<ActionId>> overlaps(inc.n);
     std::uint64_t pairs = 0;
     std::uint64_t directions = 0;
     for (std::size_t a = 0; a < inc.n; ++a) {
@@ -346,15 +367,15 @@ TEST(IncrementalGraph, MatchesBatchBuilderUnderInterleavedArrival) {
         succs[a].push_back(ActionId(b));
         preds[b].push_back(ActionId(a));
       });
-      overlap[a].for_each([&](std::size_t b) {
-        overlaps[a].push_back(ActionId(b));
-        if (b < a) return;
+      for (ActionId other : overlaps[a]) {
+        const std::size_t b = other.index();
+        if (b < a) continue;
         // Each overlapping pair is evaluated once per log-reversing
         // direction (a same-log pair is safe in its recorded order).
         ++pairs;
         directions += (records[a].before_in_log(records[b]) ? 0 : 1) +
                       (records[b].before_in_log(records[a]) ? 0 : 1);
-      });
+      }
     }
     for (std::size_t i = 0; i < inc.n; ++i) {
       EXPECT_EQ(inc.preds[i], preds[i]) << "preds of " << i;
