@@ -84,13 +84,14 @@ IncrementalConstraintGraph::IncrementalConstraintGraph(
     : universe_(&universe), by_target_(universe.size()) {}
 
 IncrementalConstraintGraph IncrementalConstraintGraph::build(
-    const Universe& universe, const std::vector<ActionRecord>& records,
+    const Universe& universe, std::vector<ActionRecord> records,
     ConstraintMatrix* dense) {
   IncrementalConstraintGraph graph(universe);
   if (dense != nullptr) *dense = ConstraintMatrix(records.size());
   graph.dense_ = dense;
-  for (const ActionRecord& rec : records) {
-    graph.add_action(rec.action, rec.log, rec.position);
+  graph.records_.reserve(records.size());
+  for (ActionRecord& rec : records) {
+    graph.add_action(std::move(rec.action), rec.log, rec.position);
   }
   graph.dense_ = nullptr;
   return graph;

@@ -106,13 +106,15 @@ class IncrementalConstraintGraph {
   explicit IncrementalConstraintGraph(const Universe& universe);
 
   /// The graph of `records` with ids equal to their indices — flatten
-  /// order gives the batch ids. When `dense` is non-null it is reset to the
-  /// n×n matrix of the same pass: every evaluated direction is written,
-  /// every other cell keeps the `safe` default, which §2.3 assigns to
-  /// disjoint pairs and to same-log pairs in their recorded order. The
-  /// result equals `build_constraints_dense`.
+  /// order gives the batch ids. The records move into the graph; a caller
+  /// that needs them afterwards takes them back with `take_records`. When
+  /// `dense` is non-null it is reset to the n×n matrix of the same pass:
+  /// every evaluated direction is written, every other cell keeps the
+  /// `safe` default, which §2.3 assigns to disjoint pairs and to same-log
+  /// pairs in their recorded order. The result equals
+  /// `build_constraints_dense`.
   [[nodiscard]] static IncrementalConstraintGraph build(
-      const Universe& universe, const std::vector<ActionRecord>& records,
+      const Universe& universe, std::vector<ActionRecord> records,
       ConstraintMatrix* dense = nullptr);
 
   /// Appends one action and extends the graph. Returns the new id. When
@@ -128,6 +130,10 @@ class IncrementalConstraintGraph {
   [[nodiscard]] const SolverGraph& graph() const { return graph_; }
   /// Moves the adjacency lists out; the graph is spent afterwards.
   [[nodiscard]] SolverGraph take_graph() { return std::move(graph_); }
+  /// Moves the records out; the graph is spent afterwards.
+  [[nodiscard]] std::vector<ActionRecord> take_records() {
+    return std::move(records_);
+  }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
   /// Pair-evaluation work counters.

@@ -77,8 +77,9 @@ enum class SolverKind : std::uint8_t {
 }
 
 /// Knobs for the local-search backend (SolverKind::kLocalSearch). The walk
-/// is fully determined by `seed` and these parameters — identical runs give
-/// identical schedules regardless of thread count.
+/// is fully determined by `seed` and these parameters (the annealing
+/// schedule and move mix are constants in solver/local_search.cpp) —
+/// identical runs give identical schedules regardless of thread count.
 struct LocalSearchOptions {
   std::uint64_t seed = 0x1cecbe0ULL;
   /// Move proposals before stopping (each proposal may or may not be
@@ -86,31 +87,10 @@ struct LocalSearchOptions {
   std::uint64_t max_moves = 20000;
   /// Stop after this many consecutive proposals without a new incumbent.
   std::uint64_t stall_moves = 5000;
-  /// Simulated-annealing temperature schedule: T starts at
-  /// `initial_temperature` and is multiplied by `cooling` per proposal,
-  /// floored at `min_temperature`. Uphill moves of cost delta d are accepted
-  /// with probability exp(-d / T).
-  double initial_temperature = 1.5;
-  double cooling = 0.9995;
-  double min_temperature = 0.01;
   /// Recently-moved actions may not move again for this many accepted moves
   /// (aspiration: a move that improves the incumbent ignores tabu). 0
   /// disables the tabu list.
   std::size_t tabu_tenure = 24;
-  /// Maximum distance an action travels in one reinsert/rescue move.
-  std::size_t reinsert_window = 96;
-  /// Cap on how far back (in schedule positions) a rescue move may hop a
-  /// failed action to land in front of its executed conflict partner
-  /// (widened to at least 16 checkpoint intervals). 0 = unlimited: a far
-  /// hop re-simulates a long suffix, so unlimited reach is best paired
-  /// with a wall-clock budget.
-  std::size_t rescue_scan = 0;
-  /// Move-mix weights (normalised internally): target-overlap-guided rescue
-  /// of failed actions, windowed reinsertion, adjacent swap, drop-flip.
-  double w_rescue = 0.40;
-  double w_reinsert = 0.30;
-  double w_swap = 0.25;
-  double w_flip = 0.05;
   /// COW snapshot checkpoint spacing for suffix re-simulation; 0 derives
   /// max(16, n/128) capped at 512 from the cutset size.
   std::size_t checkpoint_interval = 0;
@@ -131,8 +111,7 @@ struct SearchLimits {
 /// kAuto: cutset sub-problems with at most this many schedulable actions go
 /// to DFS, larger ones to local search.
 inline constexpr std::size_t kAutoDfsMaxActions = 32;
-/// Caps Reconciler and IncrementalReconciler put on the cycle/cutset
-/// analysis (find_proper_cutsets).
+/// Caps Reconciler puts on the cycle/cutset analysis (find_proper_cutsets).
 inline constexpr std::size_t kMaxCycles = 10000;
 inline constexpr std::size_t kMaxCutsets = 64;
 
@@ -163,8 +142,6 @@ struct ReconcilerOptions {
   /// schedules. The selection stage ranks both; §4.3's "solutions equivalent
   /// to log 1 alone" are such partial outcomes.
   bool record_partial_outcomes = true;
-  /// Stop the whole search as soon as the first complete schedule is found.
-  bool stop_at_first_complete = false;
 
   /// Anytime degradation: when `limits` exhaust without any complete
   /// schedule, fall back to a greedy-insertion pass over the action set and

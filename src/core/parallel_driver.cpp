@@ -16,7 +16,7 @@ struct CutsetRun {
   SearchStats stats;
   std::vector<Outcome> kept;             // local Selection, best first
   std::vector<ImprovementEvent> events;  // local best-so-far trace
-  bool stopped = false;  ///< simulator stop (limit / policy / first-complete)
+  bool stopped = false;  ///< simulator stop (limit / policy)
   bool aborted = false;  ///< cancelled early; results are invalid
 };
 
@@ -106,8 +106,8 @@ void run_cutsets_parallel(const std::vector<ActionRecord>& records,
   //  - record_outcome stops the run once total explored >= max_schedules
   //    (the terminal that reaches the cap is still recorded);
   //  - the step loop stops once total sim_steps exceeds max_steps;
-  //  - a stopped simulator (limit, policy, first-complete) ends the loop and
-  //    later cutsets never run.
+  //  - a stopped simulator (limit, policy) ends the loop and later cutsets
+  //    never run.
   const std::uint64_t max_schedules = options.limits.max_schedules;
   const std::uint64_t max_steps = options.limits.max_steps;
   std::uint64_t explored = 0;

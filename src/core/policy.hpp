@@ -76,8 +76,20 @@ class Policy {
   }
 
   /// Called for every recorded outcome (complete schedules always; dead-end
-  /// prefixes when `record_partial_outcomes` is set). Return false to stop
-  /// the entire search — e.g. once an application-optimal result is in hand.
+  /// prefixes when `record_partial_outcomes` is set), with `cost` already
+  /// set and `final_state` readable, before the selection stage ranks it.
+  /// Return false to stop the entire search — e.g. once an
+  /// application-optimal result is in hand, or `!outcome.complete` to stop
+  /// at the first complete schedule. The outcome that stops the search is
+  /// still offered to the selection stage.
+  ///
+  /// This is the interactive-feedback channel (§2's pipeline "with various
+  /// feedback loops", §4.3's immediate feedback): an application shows the
+  /// incumbent as outcomes arrive and stops once it is good enough. A GUI
+  /// that must stay responsive runs `Reconciler::run()` on a worker thread
+  /// and reads the incumbent from here. Under `ReconcilerOptions::threads
+  /// != 1` this hook is called from worker threads, concurrently, so a
+  /// policy with state must synchronise it.
   virtual bool on_outcome(const Outcome& outcome) {
     (void)outcome;
     return true;

@@ -10,23 +10,30 @@
 
 namespace icecube {
 
+namespace {
+
+/// Runs the one pair pass over `records` (flatten order). `dense` (the dfs
+/// and auto backends) also fills the matrix and derives the relations;
+/// otherwise the component partition is taken instead.
 ConstraintStage build_constraint_stage(const Universe& initial,
                                        std::vector<ActionRecord> records,
                                        bool dense) {
   ConstraintStage stage;
-  stage.records = std::move(records);
   IncrementalConstraintGraph built = IncrementalConstraintGraph::build(
-      initial, stage.records, dense ? &stage.matrix : nullptr);
+      initial, std::move(records), dense ? &stage.matrix : nullptr);
   stage.build_stats = built.build_stats();
   if (dense) {
     stage.relations = Relations::from_constraints(stage.matrix);
   } else {
     stage.components = built.components();
   }
+  stage.records = built.take_records();
   stage.graph = built.take_graph();
   return stage;
 }
 
+/// The proper cutsets of `relations` (§3.2) in the order `policy` selects,
+/// with their count and truncation recorded in `stats`.
 std::vector<Cutset> select_cutsets(const Relations& relations, Policy& policy,
                                    SearchStats& stats) {
   CutsetAnalysis cuts =
@@ -36,6 +43,8 @@ std::vector<Cutset> select_cutsets(const Relations& relations, Policy& policy,
   stats.cutset_count = cuts.cutsets.size();
   return std::move(cuts.cutsets);
 }
+
+}  // namespace
 
 Reconciler::Reconciler(Universe initial, std::vector<Log> logs,
                        ReconcilerOptions options, Policy* policy)

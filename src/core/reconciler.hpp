@@ -47,8 +47,7 @@ struct ReconcileResult {
 
 /// The static stage of one reconciliation (§2.3, §3.1): the flattened
 /// records and their conflict graph, and on the dense path the constraint
-/// matrix and relations too. Both reconcilers build it with
-/// `build_constraint_stage`. Only the built results are kept, not the
+/// matrix and relations too. Only the built results are kept, not the
 /// IncrementalConstraintGraph: it points at the initial universe, which a
 /// move of the owning reconciler would leave behind.
 struct ConstraintStage {
@@ -62,18 +61,6 @@ struct ConstraintStage {
   Relations relations;
   ConstraintBuildStats build_stats;
 };
-
-/// Runs the one pair pass over `records` (flatten order). `dense` (the dfs
-/// and auto backends) also fills the matrix and derives the relations;
-/// otherwise the component partition is taken instead.
-[[nodiscard]] ConstraintStage build_constraint_stage(
-    const Universe& initial, std::vector<ActionRecord> records, bool dense);
-
-/// The proper cutsets of `relations` (§3.2) in the order `policy` selects,
-/// with their count and truncation recorded in `stats`.
-[[nodiscard]] std::vector<Cutset> select_cutsets(const Relations& relations,
-                                                 Policy& policy,
-                                                 SearchStats& stats);
 
 /// One-problem reconciler. Construct with the initial universe and the
 /// divergent logs, optionally attach a policy, then `run()`.

@@ -278,7 +278,6 @@ void Simulator::record_outcome(const Universe& state) {
     }
   }
 
-  if (complete && options_.stop_at_first_complete) stop_ = true;
   if (stats_.schedules_explored() >= options_.limits.max_schedules) {
     stats_.hit_limit = true;
     stop_ = true;

@@ -9,9 +9,12 @@
 //
 // The search is implemented iteratively over an explicit frame stack, which
 // makes it *resumable*: `start()` then repeated `step(budget)` calls explore
-// a bounded number of schedules at a time. That is the mechanism behind the
-// paper's pipelined/interactive mode (§2: "they run in a pipeline with
-// various feedback loops") — see IncrementalReconciler.
+// a bounded number of schedules at a time; the parallel driver polls its
+// cancellation flag between those chunks. The paper's feedback loops (§2:
+// "they run in a pipeline with various feedback loops") go through
+// `Policy::on_outcome`, which sees every recorded outcome before the
+// selection stage and can stop the whole search; `SearchStats::time_to_best`
+// and `schedules_to_best` say when the final best first appeared.
 #pragma once
 
 #include <optional>

@@ -14,7 +14,6 @@
 #include "core/cycles.hpp"          // dependence-cycle analysis
 #include "core/conflict_report.hpp" // conflict explanation
 #include "core/graphviz.hpp"        // DOT export
-#include "core/incremental.hpp"     // IncrementalReconciler (anytime mode)
 #include "core/log.hpp"             // Log, ActionRecord
 #include "core/options.hpp"         // Heuristic, FailureMode, options
 #include "core/outcome.hpp"         // Outcome, SearchStats

@@ -62,8 +62,9 @@ class AutoBackend final : public SolverBackend {
       kept_ids.emplace_back(i);
     }
     IncrementalConstraintGraph built =
-        IncrementalConstraintGraph::build(*ctx.initial, kept);
+        IncrementalConstraintGraph::build(*ctx.initial, std::move(kept));
     const std::vector<std::vector<ActionId>> components = built.components();
+    kept = built.take_records();
     const SolverGraph graph = built.take_graph();
 
     SolveContext sub = ctx;

@@ -14,6 +14,24 @@ namespace {
 
 constexpr std::size_t kNoPos = std::numeric_limits<std::size_t>::max();
 
+/// Simulated-annealing temperature schedule: T starts at
+/// kInitialTemperature and is multiplied by kCooling per proposal, floored
+/// at kMinTemperature. Uphill moves of cost delta d are accepted with
+/// probability exp(-d / T).
+constexpr double kInitialTemperature = 1.5;
+constexpr double kCooling = 0.9995;
+constexpr double kMinTemperature = 0.01;
+/// Maximum distance an action travels in one reinsert move.
+constexpr std::size_t kReinsertWindow = 96;
+/// Move-mix weights: target-overlap-guided rescue of failed actions,
+/// windowed reinsertion, adjacent swap, drop-flip. A proposal picks a move
+/// by a uniform draw over their sum.
+constexpr double kWRescue = 0.40;
+constexpr double kWReinsert = 0.30;
+constexpr double kWSwap = 0.25;
+constexpr double kWFlip = 0.05;
+constexpr double kMoveMixTotal = kWRescue + kWReinsert + kWSwap + kWFlip;
+
 /// Slot-keyed mixing of a per-slot fingerprint hash into the state digest.
 /// XOR of these over the touched slots changes iff some slot's state
 /// changed (up to the usual 2^-64 hash-collision allowance).
@@ -42,7 +60,7 @@ LocalSearchEngine::LocalSearchEngine(const std::vector<ActionRecord>& records,
       initial_(initial),
       opts_(opts),
       rng_(opts.seed),
-      temperature_(opts.initial_temperature) {
+      temperature_(kInitialTemperature) {
   const std::size_t n = records_.size();
   tabu_until_.assign(n, 0);
   targets_.reserve(n);
@@ -234,7 +252,7 @@ void LocalSearchEngine::revert(Undo& undo) {
 bool LocalSearchEngine::decide(double before, double after) {
   const double delta = after - before;
   if (delta < 0.0) return true;
-  const double temperature = std::max(temperature_, opts_.min_temperature);
+  const double temperature = std::max(temperature_, kMinTemperature);
   return rng_.unit() < std::exp(-delta / temperature);
 }
 
@@ -320,8 +338,7 @@ bool LocalSearchEngine::propose_reinsert(Undo& undo) {
   const std::size_t i = rng_.below(live_end_);
   const ActionId x = sched_[i];
   if (is_tabu(x)) return false;
-  const std::size_t window = std::max<std::size_t>(opts_.reinsert_window, 1);
-  const std::size_t dist = 1 + rng_.below(window);
+  const std::size_t dist = 1 + rng_.below(kReinsertWindow);
   const bool earlier = rng_.chance(0.5);
   std::size_t j = earlier ? (i >= dist ? i - dist : 0)
                           : std::min(i + dist, live_end_ - 1);
@@ -356,9 +373,9 @@ bool LocalSearchEngine::propose_rescue(Undo& undo) {
   // actions until one is a root loser, i.e. has an earlier *executed*
   // overlap partner. Hop in front of the earliest such partner: for a
   // capacity-limited cell that is the winner that starved it (a nearer
-  // partner may have executed, but it wasn't first to consume). Far hops
-  // re-simulate long suffixes — rescue_scan caps the distance when a
-  // caller needs per-move cost bounded; 0 leaves it to the wall budget.
+  // partner may have executed, but it wasn't first to consume). The hop is
+  // unbounded: a far one re-simulates a long suffix, which the move and
+  // wall-clock budgets pay for.
   std::size_t i = kNoPos;
   std::size_t j = kNoPos;
   for (std::size_t o = 0; o < probes && j == kNoPos; ++o) {
@@ -366,14 +383,9 @@ bool LocalSearchEngine::propose_rescue(Undo& undo) {
     if (k == 0 || status_[k] != PosStatus::kFailed) continue;
     const ActionId cand = sched_[k];
     if (is_tabu(cand)) continue;
-    std::size_t lo = 0;
-    if (opts_.rescue_scan > 0) {
-      const std::size_t reach = std::max(opts_.rescue_scan, 16 * interval_);
-      lo = k > reach ? k - reach : 0;
-    }
     for (ActionId ov : graph_.overlap_lists[cand.index()]) {
       const std::size_t op = pos_[ov.index()];
-      if (op >= k || op < lo) continue;
+      if (op >= k) continue;
       if (status_[op] != PosStatus::kExecuted) continue;
       if (j == kNoPos || op < j) j = op;
     }
@@ -420,16 +432,14 @@ bool LocalSearchEngine::step() {
   if (opts_.stall_moves > 0 && stall_ >= opts_.stall_moves) return false;
   ++proposals_;
   ++stall_;
-  temperature_ = std::max(temperature_ * opts_.cooling, opts_.min_temperature);
-  double total = opts_.w_rescue + opts_.w_reinsert + opts_.w_swap + opts_.w_flip;
-  if (total <= 0.0) total = 1.0;
-  double pick = rng_.unit() * total;
+  temperature_ = std::max(temperature_ * kCooling, kMinTemperature);
+  double pick = rng_.unit() * kMoveMixTotal;
   Undo undo;
-  if ((pick -= opts_.w_rescue) < 0.0) {
+  if ((pick -= kWRescue) < 0.0) {
     (void)propose_rescue(undo);
-  } else if ((pick -= opts_.w_reinsert) < 0.0) {
+  } else if ((pick -= kWReinsert) < 0.0) {
     (void)propose_reinsert(undo);
-  } else if ((pick -= opts_.w_swap) < 0.0) {
+  } else if ((pick -= kWSwap) < 0.0) {
     (void)propose_swap(undo);
   } else {
     (void)propose_flip(undo);

@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "core/incremental.hpp"
 #include "core/reconciler.hpp"
 #include "objects/counter.hpp"
 #include "objects/rw_register.hpp"
@@ -201,14 +200,14 @@ TEST(EdgeCases, SelectionPrefersCompleteOnEqualCost) {
   EXPECT_TRUE(result.best().complete);
 }
 
-TEST(EdgeCases, IncrementalOnEmptyProblemFinishesImmediately) {
+TEST(EdgeCases, EmptyProblemYieldsTheEmptyCompleteSchedule) {
   Universe u;
-  IncrementalReconciler inc(u, {}, {});
-  const auto progress = inc.step(10);
-  EXPECT_TRUE(progress.finished);
-  EXPECT_TRUE(progress.has_best);  // the empty complete schedule
-  const auto result = inc.take_result();
+  Reconciler r(u, {});
+  const auto result = r.run();
+  ASSERT_TRUE(result.found_any());
   EXPECT_TRUE(result.best().complete);
+  EXPECT_TRUE(result.best().schedule.empty());
+  EXPECT_EQ(result.stats.schedules_explored(), 1u);
 }
 
 TEST(EdgeCases, DescribeEmptySchedule) {

@@ -94,17 +94,19 @@ void expect_identical(const ReconcileResult& want, const ReconcileResult& got,
 }
 
 /// Runs the same problem at threads 1, 2 and 8 and checks the results are
-/// indistinguishable.
+/// indistinguishable. `policy` (null = neutral) is shared by all three runs,
+/// so it must be stateless.
 void expect_thread_invariant(const Universe& initial,
                              const std::vector<Log>& logs,
                              ReconcilerOptions options,
-                             const std::string& label) {
+                             const std::string& label,
+                             Policy* policy = nullptr) {
   options.threads = 1;
-  Reconciler sequential(initial, logs, options);
+  Reconciler sequential(initial, logs, options, policy);
   const ReconcileResult reference = sequential.run();
   for (const std::size_t threads : {2u, 8u}) {
     options.threads = threads;
-    Reconciler parallel(initial, logs, options);
+    Reconciler parallel(initial, logs, options, policy);
     expect_identical(reference, parallel.run(),
                      label + " threads=" + std::to_string(threads));
   }
@@ -190,14 +192,16 @@ TEST(ParallelDeterminism, MultiCutsetTightStepBudget) {
   }
 }
 
-// stop_at_first_complete halts the whole search mid-sequence: later cutsets
-// must contribute nothing even if their workers already ran.
+// A policy stop at the first complete schedule halts the whole search
+// mid-sequence: later cutsets must contribute nothing even if their workers
+// already ran.
 TEST(ParallelDeterminism, MultiCutsetStopAtFirstComplete) {
   const Lockstep w = make_lockstep(/*cycles=*/3, /*frees_per_log=*/4);
   ReconcilerOptions options;
   options.heuristic = Heuristic::kAll;
-  options.stop_at_first_complete = true;
-  expect_thread_invariant(w.initial, w.logs, options, "first-complete");
+  testing::StopAtFirstComplete first;
+  expect_thread_invariant(w.initial, w.logs, options, "first-complete",
+                          &first);
 }
 
 TEST(ParallelDeterminism, MultiCutsetSmallKeepK) {

@@ -181,8 +181,8 @@ TEST(Simulator, StopAtFirstCompleteShortCircuits) {
   }
   ReconcilerOptions opts;
   opts.heuristic = Heuristic::kAll;
-  opts.stop_at_first_complete = true;
-  Reconciler r(fx.universe, logs, opts);
+  testing::StopAtFirstComplete first;
+  Reconciler r(fx.universe, logs, opts, &first);
   const auto result = r.run();
   EXPECT_EQ(result.stats.schedules_completed, 1u);
 }
@@ -281,11 +281,13 @@ TEST(PolicyHooks, OrderCandidatesControlsExplorationOrder) {
                           std::vector<ActionId>& c) override {
       std::reverse(c.begin(), c.end());
     }
+    bool on_outcome(const Outcome& outcome) override {
+      return !outcome.complete;
+    }
   };
   ReversePolicy policy;
   ReconcilerOptions opts;
   opts.heuristic = Heuristic::kAll;
-  opts.stop_at_first_complete = true;
   Reconciler r(fx.universe, logs, opts, &policy);
   const auto result = r.run();
   ASSERT_TRUE(result.best().complete);

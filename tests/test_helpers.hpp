@@ -9,6 +9,7 @@
 
 #include "core/action.hpp"
 #include "core/log.hpp"
+#include "core/policy.hpp"
 #include "core/universe.hpp"
 
 namespace icecube::testing {
@@ -45,6 +46,15 @@ class NopAction final : public SimpleAction {
     return true;
   }
   bool execute(Universe&) const override { return true; }
+};
+
+/// Stops the whole search at the first complete schedule. Stateless, so it
+/// is safe under ReconcilerOptions::threads != 1.
+class StopAtFirstComplete final : public Policy {
+ public:
+  bool on_outcome(const Outcome& outcome) override {
+    return !outcome.complete;
+  }
 };
 
 /// Builds a log from a list of actions.

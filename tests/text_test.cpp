@@ -259,8 +259,8 @@ TEST(TextReconcile, BothChainOrdersYieldSameTextOnDisjointRegions) {
     }
     ReconcilerOptions opts;
     opts.heuristic = Heuristic::kSafe;  // chains one log then the other
-    opts.stop_at_first_complete = true;
-    Reconciler r(u, logs, opts);
+    testing::StopAtFirstComplete first;
+    Reconciler r(u, logs, opts, &first);
     const auto result = r.run();
     return result.best().final_state.as<TextBuffer>(buf).text();
   };

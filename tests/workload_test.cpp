@@ -8,6 +8,7 @@
 #include "objects/calendar.hpp"
 #include "objects/counter.hpp"
 #include "objects/file_system.hpp"
+#include "test_helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace icecube {
@@ -212,9 +213,9 @@ TEST_P(WorkloadSweep, TextReconciliationCompletesAndReplays) {
 
   ReconcilerOptions opts;
   opts.failure_mode = FailureMode::kSkipAction;
-  opts.stop_at_first_complete = true;
   opts.limits.max_schedules = 10000;
-  Reconciler r(g.initial, g.logs, opts);
+  testing::StopAtFirstComplete first;
+  Reconciler r(g.initial, g.logs, opts, &first);
   const auto result = r.run();
   ASSERT_TRUE(result.found_any()) << "seed " << GetParam();
   EXPECT_TRUE(result.best().complete) << "seed " << GetParam();
