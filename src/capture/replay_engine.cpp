@@ -8,41 +8,11 @@
 #include "capture/wire_log_writer.hpp"
 #include "mc/mc_spec_codec.hpp"
 #include "stream/stream_spec_codec.hpp"
+#include "util/format.hpp"
 
 namespace icecube {
 
 namespace {
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Extracts "crc xxxxxxxx" from a kSummary payload's first line.
 std::optional<std::uint32_t> parse_summary_crc(const std::string& payload) {

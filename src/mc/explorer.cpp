@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/format.hpp"
+
 namespace icecube::mc {
 
 namespace {
@@ -154,37 +156,6 @@ class Explorer {
   std::vector<Choice> path_;
   std::unordered_map<std::uint64_t, std::vector<SeenEntry>> table_;
 };
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -3,32 +3,9 @@
 #include <algorithm>
 
 #include "mc/mc_spec_codec.hpp"
+#include "util/format.hpp"
 
 namespace icecube::mc {
-
-namespace {
-
-std::string hex32(std::uint32_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xFu];
-    v >>= 4;
-  }
-  return out;
-}
-
-std::string hex64(std::uint64_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xFu];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
 
 McRunResult run_mc_schedule(const McConfig& config,
                             const std::vector<Choice>& schedule,

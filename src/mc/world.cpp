@@ -2,27 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <utility>
-
-#include "objects/counter.hpp"
-#include "serialize/commit_codec.hpp"
-#include "simnet/chaos.hpp"
-#include "util/rng.hpp"
 
 namespace icecube::mc {
 
 namespace {
-
-/// The chaos harness's decision-stream mixer (simnet/chaos.cpp) — kept
-/// byte-identical so an mc workload action equals the chaos one.
-std::uint64_t mix(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-                  std::uint64_t b) {
-  std::uint64_t s = seed ^ (salt * 0x9E3779B97F4A7C15ULL);
-  s ^= (a + 1) * 0xBF58476D1CE4E5B9ULL;
-  s ^= (b + 1) * 0x94D049BB133111EBULL;
-  return s;
-}
 
 /// Incremental FNV-1a over the canonical state rendering.
 struct Fnv64 {
@@ -40,109 +24,45 @@ struct Fnv64 {
   }
 };
 
-std::size_t clamp_sites(std::size_t sites) {
-  return std::min<std::size_t>(std::max<std::size_t>(sites, 2), 8);
+McConfig clamped(McConfig config) {
+  config.sites =
+      std::min<std::size_t>(std::max<std::size_t>(config.sites, 2), 8);
+  return config;
+}
+
+/// The workload, dealt round-robin: site i gets actions i, i+n, ...
+std::vector<std::size_t> round_robin_quotas(const McConfig& config) {
+  std::vector<std::size_t> quotas(config.sites, 0);
+  for (std::size_t k = 0; k < config.actions; ++k) {
+    ++quotas[k % config.sites];
+  }
+  return quotas;
 }
 
 }  // namespace
 
-ActionPtr mc_workload_action(std::uint64_t seed, std::size_t site,
-                             std::uint64_t seq) {
-  Rng rng(mix(seed, 0xA5, site, seq));
-  if (rng.below(4) == 0) {
-    return std::make_shared<DecrementAction>(
-        ObjectId(0), static_cast<std::int64_t>(1 + rng.below(3)));
-  }
-  return std::make_shared<IncrementAction>(
-      ObjectId(0), static_cast<std::int64_t>(1 + rng.below(5)));
-}
-
 McWorld::McWorld(const McConfig& config, CaptureSink* capture)
-    : config_(config), net_(config.seed, FaultSpec{}), capture_(capture) {
-  config_.sites = clamp_sites(config_.sites);
-  const std::size_t n = config_.sites;
-
-  // Same genesis as the chaos harness: one budget counter with a floor
-  // deep enough that every workload action stays committable.
-  Universe genesis;
-  genesis.add(std::make_unique<Counter>(10000));
-
-  names_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) names_.push_back(chaos_site_name(i));
-
-  nodes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes_.emplace_back(names_[i], genesis, GossipOptions{});
-  }
-  if (config_.commitment) {
-    CommitOptions commit_options;
-    commit_options.auth_seed = config_.seed;
-    engines_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      engines_.emplace_back(nodes_[i], n, commit_options);
-    }
-  }
-
+    : config_(clamped(config)),
+      group_(config_.seed, FaultSpec{}, round_robin_quotas(config_),
+             GossipOptions{}, config_.commitment, /*deep_replay=*/true,
+             capture) {
   // All event ordering, loss and duplication is chosen by the explorer,
   // never by the seeded fault processes.
-  net_.set_fault_horizon(0);
-  net_.set_capture(capture_);
-  for (const std::string& name : names_) net_.add_site(name);
-
-  remaining_.assign(n, 0);
-  workload_seq_.assign(n, 0);
-  for (std::size_t k = 0; k < config_.actions; ++k) ++remaining_[k % n];
-
-  for (std::size_t i = 0; i < n; ++i) observe(i);
-}
-
-McWorld::McWorld(const McWorld& other)
-    : config_(other.config_),
-      net_(other.net_),
-      names_(other.names_),
-      nodes_(other.nodes_),
-      checker_(other.checker_),
-      commit_checker_(other.commit_checker_),
-      algebra_violations_(other.algebra_violations_),
-      remaining_(other.remaining_),
-      workload_seq_(other.workload_seq_),
-      drops_used_(other.drops_used_),
-      dups_used_(other.dups_used_),
-      crashes_used_(other.crashes_used_),
-      cuts_used_(other.cuts_used_),
-      capture_(nullptr) {
-  net_.set_capture(nullptr);
-  engines_.reserve(other.engines_.size());
-  for (std::size_t i = 0; i < other.engines_.size(); ++i) {
-    engines_.emplace_back(other.engines_[i], nodes_[i]);
-  }
-}
-
-void McWorld::capture_frame(CaptureRecordKind kind, std::size_t from,
-                            std::size_t to, const std::string& payload) {
-  if (capture_ == nullptr) return;
-  capture_->record(
-      {kind, net_.now(), names_[from] + ">" + names_[to] + "\n" + payload});
-}
-
-void McWorld::observe(std::size_t site) {
-  checker_.observe(nodes_[site], net_.now());
-  if (config_.commitment) {
-    commit_checker_.observe(engines_[site], net_.now());
-  }
+  group_.net().set_fault_horizon(0);
 }
 
 std::vector<Choice> McWorld::enabled() {
   std::vector<Choice> out;
-  const std::size_t n = names_.size();
+  const std::size_t n = group_.size();
+  SimNet& net = group_.net();
 
   for (std::size_t s = 0; s < n; ++s) {
-    if (!net_.is_up(names_[s])) {
+    if (!net.is_up(group_.name(s))) {
       out.push_back({ChoiceKind::kRestart, static_cast<std::uint8_t>(s)});
       continue;
     }
     for (std::size_t p = 0; p < n; ++p) {
-      if (p == s || !net_.link_open(names_[s], names_[p])) continue;
+      if (p == s || !net.link_open(group_.name(s), group_.name(p))) continue;
       out.push_back({ChoiceKind::kStep, static_cast<std::uint8_t>(s),
                      static_cast<std::uint8_t>(p)});
       if (config_.commitment && config_.withhold) {
@@ -157,14 +77,13 @@ std::vector<Choice> McWorld::enabled() {
   // message on its directed link, in send (seq) order.
   std::map<std::pair<std::uint8_t, std::uint8_t>, std::uint8_t> link_count;
   const auto site_index = [&](const std::string& name) {
-    return static_cast<std::uint8_t>(
-        std::find(names_.begin(), names_.end(), name) - names_.begin());
+    return static_cast<std::uint8_t>(group_.index(name));
   };
-  for (const PendingDelivery& d : net_.pending_deliveries()) {
+  for (const PendingDelivery& d : net.pending_deliveries()) {
     const std::uint8_t from = site_index(d.from);
     const std::uint8_t to = site_index(d.to);
     const std::uint8_t k = link_count[{from, to}]++;
-    if (net_.is_up(d.to) && net_.link_open(d.from, d.to)) {
+    if (net.is_up(d.to) && net.link_open(d.from, d.to)) {
       out.push_back({ChoiceKind::kDeliver, from, to, k});
     }
     if (drops_used_ < config_.max_drops) {
@@ -177,14 +96,14 @@ std::vector<Choice> McWorld::enabled() {
 
   if (crashes_used_ < config_.max_crashes) {
     for (std::size_t s = 0; s < n; ++s) {
-      if (net_.is_up(names_[s])) {
+      if (net.is_up(group_.name(s))) {
         out.push_back({ChoiceKind::kCrash, static_cast<std::uint8_t>(s)});
       }
     }
   }
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
-      if (net_.link_open(names_[a], names_[b])) {
+      if (net.link_open(group_.name(a), group_.name(b))) {
         if (cuts_used_ < config_.max_cuts) {
           out.push_back({ChoiceKind::kCut, static_cast<std::uint8_t>(a),
                          static_cast<std::uint8_t>(b)});
@@ -200,12 +119,13 @@ std::vector<Choice> McWorld::enabled() {
 
 std::optional<std::uint64_t> McWorld::find_message(
     const Choice& choice) const {
-  if (choice.site >= names_.size() || choice.peer >= names_.size()) {
+  if (choice.site >= group_.size() || choice.peer >= group_.size()) {
     return std::nullopt;
   }
   std::uint8_t count = 0;
-  for (const PendingDelivery& d : net_.pending_deliveries()) {
-    if (d.from != names_[choice.site] || d.to != names_[choice.peer]) {
+  for (const PendingDelivery& d : group_.net().pending_deliveries()) {
+    if (d.from != group_.name(choice.site) ||
+        d.to != group_.name(choice.peer)) {
       continue;
     }
     if (count == choice.index) return d.seq;
@@ -215,10 +135,12 @@ std::optional<std::uint64_t> McWorld::find_message(
 }
 
 bool McWorld::apply_step(const Choice& choice) {
+  SimNet& net = group_.net();
   const std::size_t s = choice.site;
   const std::size_t p = choice.peer;
-  if (s >= names_.size() || p >= names_.size() || s == p) return false;
-  if (!net_.is_up(names_[s]) || !net_.link_open(names_[s], names_[p])) {
+  if (s >= group_.size() || p >= group_.size() || s == p) return false;
+  if (!net.is_up(group_.name(s)) ||
+      !net.link_open(group_.name(s), group_.name(p))) {
     return false;
   }
   if (choice.kind == ChoiceKind::kStepWithhold &&
@@ -226,113 +148,74 @@ bool McWorld::apply_step(const Choice& choice) {
     return false;
   }
 
-  GossipNode& node = nodes_[s];
-  if (remaining_[s] > 0) {
-    const std::uint64_t seq = workload_seq_[s]++;
-    ActionPtr action = mc_workload_action(config_.seed, s, seq);
-    --remaining_[s];
-    if (capture_ != nullptr) {
-      capture_->record({CaptureRecordKind::kAction, net_.now(),
-                        names_[s] + " " + std::to_string(seq) + " " +
-                            action->describe()});
-    }
-    node.perform(std::move(action));
-  }
-
-  {
-    std::string payload = node.make_message();
-    capture_frame(CaptureRecordKind::kGossipFrame, s, p, payload);
-    net_.send(names_[s], names_[p], std::move(payload));
-  }
-  if (config_.commitment) {
-    engines_[s].tick();
-    if (choice.kind != ChoiceKind::kStepWithhold) {
-      std::string payload = engines_[s].make_message();
-      capture_frame(CaptureRecordKind::kCommitFrame, s, p, payload);
-      net_.send(names_[s], names_[p], std::move(payload));
-    }
-  }
-  observe(s);
+  group_.tick(s, p, choice.kind != ChoiceKind::kStepWithhold, nullptr);
+  group_.observe(s);
   return true;
 }
 
 bool McWorld::apply_message_choice(const Choice& choice) {
+  SimNet& net = group_.net();
   const auto seq = find_message(choice);
   if (!seq) return false;
 
   if (choice.kind == ChoiceKind::kDrop) {
     if (drops_used_ >= config_.max_drops) return false;
     ++drops_used_;
-    return net_.drop_delivery(*seq);
+    return net.drop_delivery(*seq);
   }
   if (choice.kind == ChoiceKind::kDuplicate) {
     if (dups_used_ >= config_.max_dups) return false;
     ++dups_used_;
-    return net_.duplicate_delivery(*seq).has_value();
+    return net.duplicate_delivery(*seq).has_value();
   }
 
   // kDeliver. Enabledness mirrors enumeration: the destination must be up
   // and the link open, so take_delivery below cannot drop.
   const std::size_t t = choice.peer;
-  if (!net_.is_up(names_[t]) ||
-      !net_.link_open(names_[choice.site], names_[t])) {
+  if (!net.is_up(group_.name(t)) ||
+      !net.link_open(group_.name(choice.site), group_.name(t))) {
     return false;
   }
-  auto event = net_.take_delivery(*seq);
+  auto event = net.take_delivery(*seq);
   if (!event) return false;
 
-  if (config_.commitment && is_commit_frame(event->payload)) {
-    const CommitReceipt receipt = engines_[t].receive(event->payload);
-    if (receipt.reply_advised && net_.is_up(event->from)) {
-      std::string payload = engines_[t].make_message();
-      capture_frame(CaptureRecordKind::kCommitFrame, t, choice.site,
-                    payload);
-      net_.send(names_[t], event->from, std::move(payload));
-    }
-  } else {
-    const GossipReceipt receipt = nodes_[t].receive(event->payload);
-    if (receipt.reply_advised() && net_.is_up(event->from)) {
-      std::string payload = nodes_[t].make_message();
-      capture_frame(CaptureRecordKind::kGossipFrame, t, choice.site,
-                    payload);
-      net_.send(names_[t], event->from, std::move(payload));
-    }
-  }
-  observe(t);
+  group_.deliver(*event, nullptr);
+  group_.observe(t);
   return true;
 }
 
 bool McWorld::apply_control(const Choice& choice) {
-  const std::size_t n = names_.size();
+  SimNet& net = group_.net();
+  const std::size_t n = group_.size();
   switch (choice.kind) {
     case ChoiceKind::kCrash:
       if (choice.site >= n || crashes_used_ >= config_.max_crashes ||
-          !net_.is_up(names_[choice.site])) {
+          !net.is_up(group_.name(choice.site))) {
         return false;
       }
       ++crashes_used_;
-      net_.force_crash(names_[choice.site]);
+      net.force_crash(group_.name(choice.site));
       return true;
     case ChoiceKind::kRestart:
-      if (choice.site >= n || net_.is_up(names_[choice.site])) return false;
-      net_.force_restart(names_[choice.site]);
+      if (choice.site >= n || net.is_up(group_.name(choice.site))) return false;
+      net.force_restart(group_.name(choice.site));
       return true;
     case ChoiceKind::kCut:
       if (choice.site >= n || choice.peer >= n ||
           choice.site == choice.peer || cuts_used_ >= config_.max_cuts ||
-          !net_.link_open(names_[choice.site], names_[choice.peer])) {
+          !net.link_open(group_.name(choice.site), group_.name(choice.peer))) {
         return false;
       }
       ++cuts_used_;
-      net_.force_cut(names_[choice.site], names_[choice.peer]);
+      net.force_cut(group_.name(choice.site), group_.name(choice.peer));
       return true;
     case ChoiceKind::kHeal:
       if (choice.site >= n || choice.peer >= n ||
           choice.site == choice.peer ||
-          net_.link_open(names_[choice.site], names_[choice.peer])) {
+          net.link_open(group_.name(choice.site), group_.name(choice.peer))) {
         return false;
       }
-      net_.force_heal(names_[choice.site], names_[choice.peer]);
+      net.force_heal(group_.name(choice.site), group_.name(choice.peer));
       return true;
     default:
       return false;
@@ -355,13 +238,16 @@ bool McWorld::apply(const Choice& choice) {
 
 std::uint64_t McWorld::digest() const {
   Fnv64 fnv;
-  const std::size_t n = names_.size();
+  const std::size_t n = group_.size();
+  // link_open is non-const (window memo), but with the fault horizon at 0
+  // a link is closed iff explicitly force-cut, so querying it is pure.
+  SimNet& net = const_cast<SimNet&>(group_.net());
   fnv.u64(static_cast<std::uint64_t>(config_.mutant));
 
   for (std::size_t i = 0; i < n; ++i) {
-    const GossipNode& node = nodes_[i];
-    fnv.u64(net_.is_up(names_[i]) ? 1 : 0);
-    fnv.u64(remaining_[i]);
+    const GossipNode& node = group_.nodes()[i];
+    fnv.u64(net.is_up(group_.name(i)) ? 1 : 0);
+    fnv.u64(group_.remaining(i));
     fnv.u64(node.epoch());
     fnv.u64(node.committed_fingerprint_hash());
     fnv.u64(node.stable_length());
@@ -371,7 +257,7 @@ std::uint64_t McWorld::digest() const {
     for (const std::string& uid : node.pending_uids()) fnv.str(uid);
   }
 
-  for (const CommitEngine& engine : engines_) {
+  for (const CommitEngine& engine : group_.engines()) {
     fnv.u64(engine.decided().size());
     for (const std::string& id : engine.decided()) fnv.str(id);
     fnv.u64(engine.stable_uids().size());
@@ -390,7 +276,7 @@ std::uint64_t McWorld::digest() const {
   // sequence within a link: the order two interleavings of *independent*
   // choices can never disagree on. (A global-seq ordering would split
   // states the reduction proves equivalent.)
-  std::vector<PendingDelivery> pending = net_.pending_deliveries();
+  std::vector<PendingDelivery> pending = net.pending_deliveries();
   std::stable_sort(pending.begin(), pending.end(),
                    [](const PendingDelivery& a, const PendingDelivery& b) {
                      if (a.from != b.from) return a.from < b.from;
@@ -407,38 +293,38 @@ std::uint64_t McWorld::digest() const {
   fnv.u64(dups_used_);
   fnv.u64(crashes_used_);
   fnv.u64(cuts_used_);
-  // Cut links; link_open is non-const (window memo), but with the fault
-  // horizon at 0 a link is closed iff explicitly force-cut — recompute
-  // from the trace-visible effect instead: closed links appear here.
-  SimNet& net = const_cast<SimNet&>(net_);
+  // Cut links.
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
-      fnv.u64(net.link_open(names_[a], names_[b]) ? 1 : 0);
+      fnv.u64(net.link_open(group_.name(a), group_.name(b)) ? 1 : 0);
     }
   }
   return fnv.h;
 }
 
 bool McWorld::quiescent() const {
-  if (net_.pending_events() != 0) return false;
-  for (const std::string& name : names_) {
-    if (!net_.is_up(name)) return false;
+  const SimNet& net = group_.net();
+  if (net.pending_events() != 0) return false;
+  for (std::size_t i = 0; i < group_.size(); ++i) {
+    if (!net.is_up(group_.name(i))) return false;
   }
   return true;
 }
 
 std::optional<Violation> McWorld::check_algebra() {
+  const std::vector<GossipNode>& nodes = group_.nodes();
   // Idempotence: a node whose pending log is drained must be a fixpoint
   // of its own frame — merging a state with itself changes nothing.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].pending().empty()) continue;
-    const std::string frame = nodes_[i].make_message();
-    GossipNode copy = nodes_[i];
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (!nodes[i].pending().empty()) continue;
+    const std::string frame = nodes[i].make_message();
+    GossipNode copy = nodes[i];
     const GossipReceipt receipt = copy.receive(frame);
     if (receipt.adopted() || copy.committed_fingerprint_hash() !=
-                                 nodes_[i].committed_fingerprint_hash()) {
-      Violation v{"merge-idempotent", names_[i],
-                  "node changed state merging its own frame", net_.now()};
+                                 nodes[i].committed_fingerprint_hash()) {
+      Violation v{"merge-idempotent", group_.name(i),
+                  "node changed state merging its own frame",
+                  group_.net().now()};
       algebra_violations_.push_back(v);
       return v;
     }
@@ -446,22 +332,22 @@ std::optional<Violation> McWorld::check_algebra() {
   // Commutativity: two nodes on the same committed state, merging each
   // other's frames, must adopt bit-identical committed results (this is
   // the determinism the gossip layer promises; see replica/gossip.hpp).
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-      if (nodes_[i].committed_fingerprint_hash() !=
-          nodes_[j].committed_fingerprint_hash()) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      if (nodes[i].committed_fingerprint_hash() !=
+          nodes[j].committed_fingerprint_hash()) {
         continue;
       }
-      const std::string frame_i = nodes_[i].make_message();
-      const std::string frame_j = nodes_[j].make_message();
-      GossipNode a = nodes_[i];
-      GossipNode b = nodes_[j];
+      const std::string frame_i = nodes[i].make_message();
+      const std::string frame_j = nodes[j].make_message();
+      GossipNode a = nodes[i];
+      GossipNode b = nodes[j];
       (void)a.receive(frame_j);
       (void)b.receive(frame_i);
       if (a.committed_fingerprint_hash() != b.committed_fingerprint_hash()) {
-        Violation v{"merge-commute", names_[i] + "/" + names_[j],
+        Violation v{"merge-commute", group_.name(i) + "/" + group_.name(j),
                     "pairwise merge order changed the committed state",
-                    net_.now()};
+                    group_.net().now()};
         algebra_violations_.push_back(v);
         return v;
       }
@@ -471,40 +357,18 @@ std::optional<Violation> McWorld::check_algebra() {
 }
 
 std::vector<Violation> McWorld::violations() const {
-  std::vector<Violation> out = checker_.violations();
-  out.insert(out.end(), commit_checker_.violations().begin(),
-             commit_checker_.violations().end());
+  std::vector<Violation> out = group_.violations();
   out.insert(out.end(), algebra_violations_.begin(),
              algebra_violations_.end());
   return out;
 }
 
 bool McWorld::violated() const {
-  return !checker_.ok() || !commit_checker_.ok() ||
-         !algebra_violations_.empty();
-}
-
-std::size_t McWorld::actions_remaining() const {
-  std::size_t total = 0;
-  for (std::size_t r : remaining_) total += r;
-  return total;
+  return !group_.ok() || !algebra_violations_.empty();
 }
 
 bool McWorld::settled() const {
-  if (actions_remaining() != 0 || !quiescent()) return false;
-  for (const GossipNode& node : nodes_) {
-    if (!node.pending().empty()) return false;
-  }
-  if (!gossip_converged(nodes_)) return false;
-  if (config_.commitment) {
-    if (!commit_converged(engines_)) return false;
-    for (const CommitEngine& engine : engines_) {
-      if (engine.stable_uids().size() != engine.node().history().size()) {
-        return false;
-      }
-    }
-  }
-  return true;
+  return group_.net().pending_events() == 0 && group_.converged();
 }
 
 }  // namespace icecube::mc

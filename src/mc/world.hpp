@@ -1,19 +1,20 @@
 // One forkable protocol world for the model checker.
 //
-// `McWorld` bundles everything one explored state needs — the simulated
-// network, the gossip nodes, the commitment engines, the invariant
-// checkers and the fault budgets — into a single *value type*: copying a
-// world forks it. That is cheap because the expensive part, each node's
-// Universe, is copy-on-write (PR 4), and correct because every member is
-// a plain value except the engines, whose node references are rebound by
-// the CommitEngine copy-with-rebind constructor.
+// `McWorld` bundles everything one explored state needs — the site group
+// (simnet/sites.hpp: the simulated network, the gossip nodes, the
+// commitment engines and the invariant checkers) and the fault budgets —
+// into a single *value type*: copying a world forks it. That is cheap
+// because the expensive part, each node's Universe, is copy-on-write, and
+// correct because the group's copy rebinds each engine to the copy's node.
 //
 // The world is driven exclusively through `apply(Choice)`; `enabled()`
 // enumerates exactly the choices `apply` accepts, so the explorer, the
 // delta-debugging minimizer and the capture replay runner all share one
-// transition semantics. The workload is deterministic: site i's k-th
-// action is the same function of (seed, i, k) the chaos harness uses, so
-// a choice sequence fully determines the run — no RNG state to fork.
+// transition semantics. A step is the group's `tick` and a delivery its
+// `deliver` — the very code the chaos harness runs, seeded workload
+// included. The workload is a pure function of (seed, site, seq), so a
+// choice sequence fully determines the run (no RNG state to fork) and an
+// mc counterexample replays as a chaos-format capture.
 //
 // `digest()` hashes the protocol-semantic state (replica contents,
 // commitment knowledge, per-link in-flight message order, budgets,
@@ -31,10 +32,9 @@
 #include "capture/capture_sink.hpp"
 #include "core/mutation.hpp"
 #include "mc/choice.hpp"
-#include "replica/commit.hpp"
-#include "replica/gossip.hpp"
 #include "simnet/invariants.hpp"
 #include "simnet/simnet.hpp"
+#include "simnet/sites.hpp"
 
 namespace icecube::mc {
 
@@ -66,18 +66,12 @@ class McWorld {
   explicit McWorld(const McConfig& config, CaptureSink* capture = nullptr);
 
   /// Fork. The copy is fully independent and detached from any sink.
-  McWorld(const McWorld& other);
+  McWorld(const McWorld& other) = default;
   McWorld& operator=(const McWorld&) = delete;
 
   [[nodiscard]] const McConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t sites() const { return names_.size(); }
-  [[nodiscard]] const std::vector<GossipNode>& nodes() const {
-    return nodes_;
-  }
-  [[nodiscard]] const std::vector<CommitEngine>& engines() const {
-    return engines_;
-  }
-  [[nodiscard]] SimNet& net() { return net_; }
+  [[nodiscard]] std::size_t sites() const { return group_.size(); }
+  [[nodiscard]] SimNet& net() { return group_.net(); }
 
   /// Every choice currently applicable, in canonical order (steps by
   /// site/peer, then per-message choices by link/index, then faults).
@@ -107,44 +101,28 @@ class McWorld {
   [[nodiscard]] std::vector<Violation> violations() const;
   [[nodiscard]] bool violated() const;
 
-  /// Full convergence, chaos-style: workload drained, everything shared,
-  /// and (with commitment) every committed action irrevocable everywhere.
+  /// No event in flight and the group converged (SiteGroup::converged,
+  /// the chaos harness's convergence predicate).
   [[nodiscard]] bool settled() const;
 
-  [[nodiscard]] std::uint32_t trace_crc() const { return net_.trace_crc(); }
-  [[nodiscard]] std::size_t actions_remaining() const;
+  [[nodiscard]] std::uint32_t trace_crc() const {
+    return group_.net().trace_crc();
+  }
 
  private:
   [[nodiscard]] std::optional<std::uint64_t> find_message(
       const Choice& choice) const;
-  void capture_frame(CaptureRecordKind kind, std::size_t from,
-                     std::size_t to, const std::string& payload);
-  void observe(std::size_t site);
   bool apply_step(const Choice& choice);
   bool apply_message_choice(const Choice& choice);
   bool apply_control(const Choice& choice);
 
   McConfig config_;
-  SimNet net_;
-  std::vector<std::string> names_;
-  std::vector<GossipNode> nodes_;
-  std::vector<CommitEngine> engines_;  ///< empty without commitment
-  InvariantChecker checker_;
-  CommitInvariantChecker commit_checker_;
+  SiteGroup group_;  ///< workload quotas dealt round-robin
   std::vector<Violation> algebra_violations_;
-  std::vector<std::size_t> remaining_;     ///< workload quota per site
-  std::vector<std::uint64_t> workload_seq_;
   std::size_t drops_used_ = 0;
   std::size_t dups_used_ = 0;
   std::size_t crashes_used_ = 0;
   std::size_t cuts_used_ = 0;
-  CaptureSink* capture_ = nullptr;  ///< not owned; dropped on fork
 };
-
-/// The deterministic workload: site `site`'s `seq`-th action under `seed`
-/// — byte-identical to the chaos harness recipe, so mc findings transfer.
-[[nodiscard]] ActionPtr mc_workload_action(std::uint64_t seed,
-                                           std::size_t site,
-                                           std::uint64_t seq);
 
 }  // namespace icecube::mc

@@ -5,6 +5,7 @@
 #include "serialize/framing.hpp"
 #include "serialize/log_codec.hpp"
 #include "util/crc32.hpp"
+#include "util/format.hpp"
 
 namespace icecube {
 
@@ -18,16 +19,6 @@ constexpr int kVersion = 2;
 constexpr std::size_t kMaxRecords = 1u << 20;
 constexpr std::size_t kMaxUids = 1u << 20;
 constexpr std::size_t kMaxBlobBytes = 1u << 28;
-
-std::string hex32(std::uint32_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xFu];
-    v >>= 4;
-  }
-  return out;
-}
 
 std::optional<std::uint32_t> parse_hex32(std::string_view token) {
   if (token.size() != 8) return std::nullopt;

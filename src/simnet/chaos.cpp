@@ -1,72 +1,11 @@
 #include "simnet/chaos.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
 
-#include "objects/counter.hpp"
+#include "util/format.hpp"
 #include "util/rng.hpp"
 
 namespace icecube {
-
-namespace {
-
-/// Decision streams for the runner itself (workload content, partner
-/// choice), independent of the FaultPlan's streams.
-std::uint64_t mix(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-                  std::uint64_t b) {
-  std::uint64_t s = seed ^ (salt * 0x9E3779B97F4A7C15ULL);
-  s ^= (a + 1) * 0xBF58476D1CE4E5B9ULL;
-  s ^= (b + 1) * 0x94D049BB133111EBULL;
-  return s;
-}
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string hex32(std::uint32_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[v & 0xFu];
-    v >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string chaos_site_name(std::size_t index) {
-  return "s" + std::to_string(index);
-}
 
 ChaosReport run_chaos(const ChaosSpec& spec) {
   // Gossip needs a partner; the interval must advance the clock.
@@ -77,57 +16,18 @@ ChaosReport run_chaos(const ChaosSpec& spec) {
   report.seed = spec.seed;
   report.sites = n;
 
-  // The workload object: a single budget counter with a floor high enough
-  // that decrements never fail their dynamic constraint at this scale —
-  // every performed action stays committable, so full convergence drains
-  // every pending log.
-  Universe genesis;
-  genesis.add(std::make_unique<Counter>(10000));
-
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) names.push_back(chaos_site_name(i));
-
   GossipOptions gossip_options;
   gossip_options.reconcile = spec.reconcile;
-  std::vector<GossipNode> nodes;
-  nodes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.emplace_back(names[i], genesis, gossip_options);
-  }
-
-  // The commitment layer rides along: one engine per node, frames on the
-  // same simulated network. `nodes` must not reallocate from here on
-  // (each engine holds a reference).
-  std::vector<CommitEngine> engines;
-  if (spec.commitment) {
-    CommitOptions commit_options;
-    commit_options.auth_seed = spec.seed;
-    engines.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      engines.emplace_back(nodes[i], n, commit_options);
-    }
-  }
-
-  SimNet net(spec.seed, spec.faults);
+  SiteGroup group(spec.seed, spec.faults,
+                  std::vector<std::size_t>(n, spec.actions_per_site),
+                  gossip_options, spec.commitment, spec.deep_replay,
+                  spec.capture);
+  SimNet& net = group.net();
   net.set_fault_horizon(spec.fault_horizon);
   net.set_partition_window(spec.partition_window);
   net.set_trace_retention(spec.keep_trace);
-  net.set_capture(spec.capture);
-  // Capture emission helpers; no-ops without a sink. Frames are recorded
-  // with the exact bytes handed to the network (post ship-faults), so a
-  // replay comparison is byte-for-byte.
-  const auto capture_frame = [&](CaptureRecordKind kind,
-                                 const std::string& from,
-                                 const std::string& to,
-                                 const std::string& payload) {
-    if (spec.capture == nullptr) return;
-    spec.capture->record(
-        {kind, net.now(), from + ">" + to + "\n" + payload});
-  };
-  for (const std::string& name : names) net.add_site(name);
   // Stagger the first ticks so sites never move in lockstep.
-  for (std::size_t i = 0; i < n; ++i) net.schedule_timer(names[i], 1 + i);
+  for (std::size_t i = 0; i < n; ++i) net.schedule_timer(group.name(i), 1 + i);
 
   // Convergence is only demanded once every disruption is over.
   std::size_t quiet_time = spec.fault_horizon;
@@ -152,144 +52,51 @@ ChaosReport run_chaos(const ChaosSpec& spec) {
   const std::size_t crash_window = crash_len * 2;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t w = 0; w * crash_window < spec.fault_horizon; ++w) {
-      if (!net.faults().site_down(names[i], w)) continue;
+      if (!net.faults().site_down(group.name(i), w)) continue;
       const std::size_t at = w * crash_window + 1;
-      net.schedule_crash(names[i], at);
-      net.schedule_restart(names[i], at + crash_len);
+      net.schedule_crash(group.name(i), at);
+      net.schedule_restart(group.name(i), at + crash_len);
       quiet_time = std::max(quiet_time, at + crash_len);
     }
   }
-
-  InvariantChecker checker(spec.deep_replay);
-  CommitInvariantChecker commit_checker;
-  for (std::size_t i = 0; i < n; ++i) {
-    checker.observe(nodes[i], 0);
-    if (spec.commitment) commit_checker.observe(engines[i], 0);
-  }
-
-  std::vector<std::size_t> remaining(n, spec.actions_per_site);
-  std::vector<std::uint64_t> workload_seq(n, 0);
-  const auto site_index = [&](const std::string& name) {
-    return static_cast<std::size_t>(
-        std::find(names.begin(), names.end(), name) - names.begin());
-  };
 
   while (report.steps < spec.step_budget) {
     auto event = net.step();
     if (!event) break;
     ++report.steps;
-    const std::size_t i = site_index(event->site);
-    GossipNode& node = nodes[i];
+    const std::size_t i = group.index(event->site);
 
     if (event->kind == SimEvent::Kind::kTimer) {
       if (net.is_up(event->site)) {
-        if (remaining[i] > 0) {
-          const std::uint64_t seq = workload_seq[i]++;
-          Rng rng(mix(spec.seed, 0xA5, i, seq));
-          ActionPtr action;
-          if (rng.below(4) == 0) {
-            action = std::make_shared<DecrementAction>(
-                ObjectId(0), static_cast<std::int64_t>(1 + rng.below(3)));
-          } else {
-            action = std::make_shared<IncrementAction>(
-                ObjectId(0), static_cast<std::int64_t>(1 + rng.below(5)));
-          }
-          --remaining[i];
-          if (spec.capture != nullptr) {
-            spec.capture->record({CaptureRecordKind::kAction, net.now(),
-                                  names[i] + " " + std::to_string(seq) +
-                                      " " + action->describe()});
-          }
-          if (node.perform(std::move(action))) ++report.total_actions;
-        }
-        Rng partner_rng(mix(spec.seed, 0xB7, i, net.now()));
+        Rng partner_rng(decision_seed(spec.seed, 0xB7, i, net.now()));
         std::size_t partner = partner_rng.below(n - 1);
         if (partner >= i) ++partner;
-        {
-          std::string payload = node.make_message(&net.faults(), net.now());
-          capture_frame(CaptureRecordKind::kGossipFrame, event->site,
-                        names[partner], payload);
-          net.send(event->site, names[partner], std::move(payload));
-        }
-        if (spec.commitment) {
-          engines[i].tick();
-          // A drop-vote fault withholds this slot's commitment frame —
-          // the knowledge is durable and re-announced next tick.
-          if (!net.faults().vote_dropped(event->site, net.now())) {
-            std::string payload =
-                engines[i].make_message(&net.faults(), net.now());
-            capture_frame(CaptureRecordKind::kCommitFrame, event->site,
-                          names[partner], payload);
-            net.send(event->site, names[partner], std::move(payload));
-          }
+        // A drop-vote fault withholds this slot's commitment frame.
+        const bool send_commit_frame =
+            spec.commitment &&
+            !net.faults().vote_dropped(event->site, net.now());
+        if (group.tick(i, partner, send_commit_frame, &net.faults())) {
+          ++report.total_actions;
         }
       }
       net.schedule_timer(event->site, net.now() + interval);
-    } else if (spec.commitment && is_commit_frame(event->payload)) {
-      const CommitReceipt receipt = engines[i].receive(event->payload);
-      if (receipt.reply_advised && net.is_up(event->from)) {
-        std::string payload =
-            engines[i].make_message(&net.faults(), net.now());
-        capture_frame(CaptureRecordKind::kCommitFrame, event->site,
-                      event->from, payload);
-        net.send(event->site, event->from, std::move(payload));
-      }
     } else {
-      const GossipReceipt receipt = node.receive(event->payload);
-      if (receipt.reply_advised() && net.is_up(event->from)) {
-        std::string payload = node.make_message(&net.faults(), net.now());
-        capture_frame(CaptureRecordKind::kGossipFrame, event->site,
-                      event->from, payload);
-        net.send(event->site, event->from, std::move(payload));
-      }
+      group.deliver(*event, &net.faults());
     }
+    group.observe(i);
 
-    checker.observe(node, net.now());
-    if (spec.commitment) commit_checker.observe(engines[i], net.now());
-
-    if (net.now() >= quiet_time) {
-      const bool workload_done =
-          std::all_of(remaining.begin(), remaining.end(),
-                      [](std::size_t r) { return r == 0; });
-      const bool all_up = std::all_of(
-          names.begin(), names.end(),
-          [&](const std::string& s) { return net.is_up(s); });
-      const bool drained = std::all_of(
-          nodes.begin(), nodes.end(),
-          [](const GossipNode& g) { return g.pending().empty(); });
-      // With commitment on, sharing state is not enough: every committed
-      // action must also have become irrevocable at every site.
-      const bool all_stable =
-          !spec.commitment ||
-          (commit_converged(engines) &&
-           std::all_of(engines.begin(), engines.end(),
-                       [](const CommitEngine& e) {
-                         return e.stable_uids().size() ==
-                                e.node().history().size();
-                       }));
-      if (workload_done && all_up && drained && all_stable &&
-          gossip_converged(nodes)) {
-        report.converged = true;
-        report.converged_at = net.now();
-        break;
-      }
+    if (net.now() >= quiet_time && group.converged()) {
+      report.converged = true;
+      report.converged_at = net.now();
+      break;
     }
   }
 
   report.final_time = net.now();
-  if (!report.converged) {
-    checker.check_converged(nodes, net.now());
-    if (spec.commitment) {
-      commit_checker.check_commit_converged(engines, net.now());
-    }
-  }
-  report.violations = checker.violations();
-  report.violations.insert(report.violations.end(),
-                           commit_checker.violations().begin(),
-                           commit_checker.violations().end());
-  report.observations =
-      checker.observations() + commit_checker.observations();
-  for (const GossipNode& node : nodes) {
+  if (!report.converged) group.check_converged();
+  report.violations = group.violations();
+  report.observations = group.observations();
+  for (const GossipNode& node : group.nodes()) {
     report.totals.performs += node.stats().performs;
     report.totals.merges += node.stats().merges;
     report.totals.merge_noops += node.stats().merge_noops;
@@ -301,7 +108,7 @@ ChaosReport run_chaos(const ChaosSpec& spec) {
     report.totals.stable_conflicts += node.stats().stable_conflicts;
     report.max_epoch = std::max(report.max_epoch, node.epoch());
   }
-  for (const CommitEngine& engine : engines) {
+  for (const CommitEngine& engine : group.engines()) {
     const CommitStats& s = engine.stats();
     report.commit_totals.proposals_made += s.proposals_made;
     report.commit_totals.votes_cast += s.votes_cast;
@@ -319,7 +126,7 @@ ChaosReport run_chaos(const ChaosSpec& spec) {
         std::max(report.stable_actions, engine.stable_uids().size());
   }
   if (report.converged) {
-    report.final_fingerprint = nodes.front().committed_fingerprint();
+    report.final_fingerprint = group.nodes().front().committed_fingerprint();
   }
   report.net = net.counters();
   report.injected_faults = net.faults().injected().size();

@@ -1,11 +1,12 @@
 // Chaos harness: gossip nodes on the simulated network, under fire.
 //
-// One `run_chaos` call wires a group of `GossipNode`s (replica/gossip.hpp)
-// onto a `SimNet` (simnet/simnet.hpp), drives a seeded workload of counter
-// updates through seed-chosen gossip partners, injects the full fault
-// menu — message loss, delay, reordering, duplication, payload corruption
-// and truncation, random and scheduled link partitions, site crashes with
-// restarts — and checks the `InvariantChecker` contract after every event.
+// One `run_chaos` call drives a `SiteGroup` (simnet/sites.hpp: gossip
+// nodes and commit engines on a `SimNet`) with timers: each tick performs
+// the group's seeded workload and gossips with a seed-chosen partner. It
+// injects the full fault menu — message loss, delay, reordering,
+// duplication, payload corruption and truncation, random and scheduled
+// link partitions, site crashes with restarts — and checks the invariant
+// contract after every event.
 //
 // The run converges when, after the fault horizon and every scheduled
 // heal/restart, all sites are up, the whole workload is committed
@@ -27,6 +28,7 @@
 #include "replica/gossip.hpp"
 #include "simnet/invariants.hpp"
 #include "simnet/simnet.hpp"
+#include "simnet/sites.hpp"
 
 namespace icecube {
 
@@ -109,9 +111,6 @@ struct ChaosReport {
   /// Machine-readable rendering of the whole report (one JSON object).
   [[nodiscard]] std::string to_json() const;
 };
-
-/// Site names are "s0", "s1", ... — use this in ChaosSpec schedules.
-[[nodiscard]] std::string chaos_site_name(std::size_t index);
 
 /// Payload of the kSummary capture record: the run's replay witnesses
 /// (trace CRC first) in "key value" lines, fingerprint last (raw, may span

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "jigsaw/experiment.hpp"
+#include "test_helpers.hpp"
 
 namespace icecube::jigsaw {
 namespace {

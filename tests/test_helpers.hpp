@@ -3,14 +3,53 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/action.hpp"
 #include "core/log.hpp"
+#include "core/options.hpp"
 #include "core/policy.hpp"
 #include "core/universe.hpp"
+#include "jigsaw/board.hpp"
+
+// gtest printers for the enums that parameterise tests. ctest names each
+// parameterised case by its printed parameter; without these, gtest prints
+// an enum as a raw byte dump such as `1-byte object <02>`.
+namespace icecube {
+
+inline void PrintTo(Heuristic h, std::ostream* os) { *os << to_string(h); }
+
+inline void PrintTo(FailureMode m, std::ostream* os) { *os << to_string(m); }
+
+}  // namespace icecube
+
+namespace icecube::jigsaw {
+
+inline void PrintTo(Board::OrderCase c, std::ostream* os) {
+  switch (c) {
+    case Board::OrderCase::kUnconstrained:
+      *os << "Unconstrained";
+      return;
+    case Board::OrderCase::kSemantic:
+      *os << "Semantic";
+      return;
+    case Board::OrderCase::kKeepLogOrder:
+      *os << "KeepLogOrder";
+      return;
+    case Board::OrderCase::kKeepJoinOrder:
+      *os << "KeepJoinOrder";
+      return;
+    case Board::OrderCase::kAdjacency:
+      *os << "Adjacency";
+      return;
+  }
+  *os << "?";
+}
+
+}  // namespace icecube::jigsaw
 
 namespace icecube::testing {
 
